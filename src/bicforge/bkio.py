@@ -27,7 +27,8 @@ from .grid import MomentumGrid, RadialGrid, build_momentum_grid
 from .kernels import Kernel
 
 
-def _fmt(x: float) -> str:
+def format_double(x: float) -> str:
+    """17 significant digits: enough for any IEEE double to round-trip."""
     return f"{float(x):.17g}"
 
 
@@ -36,21 +37,22 @@ def write_kernel(kernel, path) -> None:
     grid = kernel.grid
     lines = []
     if isinstance(kernel, CoordinateKernel):
-        lines.append(f"#grid {grid.n} {_fmt(grid.r_max)}")
+        lines.append(f"#grid {grid.n} {format_double(grid.r_max)}")
         lines.append("#space coordinate")
         lines.append("#symmetry general")
     elif isinstance(kernel, Kernel):
         if kernel.space != "momentum":
             raise ContractError("Kernel instances in files must be momentum-space")
-        lines.append(f"#grid {grid.n} {_fmt(grid.map_scale)} {_fmt(grid.cutoff)}")
+        lines.append(f"#grid {grid.n} {format_double(grid.map_scale)} "
+                     f"{format_double(grid.cutoff)}")
         lines.append("#space momentum")
         lines.append(f"#symmetry {kernel.symmetry}")
     else:
         raise ContractError(f"cannot serialize {type(kernel).__name__}")
     for node, weight in zip(grid.nodes, grid.weights):
-        lines.append(f"{_fmt(node)},{_fmt(weight)}")
+        lines.append(f"{format_double(node)},{format_double(weight)}")
     for row in np.asarray(kernel.values, dtype=float):
-        lines.append(" ".join(_fmt(x) for x in row))
+        lines.append(" ".join(format_double(x) for x in row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -66,7 +68,7 @@ def read_kernel(path):
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
     header = {}
-    body_start = 0
+    body_start = len(lines)
     for i, ln in enumerate(lines):
         if not ln.startswith("#"):
             body_start = i
@@ -77,8 +79,19 @@ def read_kernel(path):
         if key not in header:
             raise ContractError(f"missing #{key} header")
 
+    space = header["space"]
+    grid_fields = {"coordinate": 2, "momentum": 3}.get(space)
+    if grid_fields is None:
+        raise ContractError(f"unknown space {space!r}")
     grid_parts = header["grid"].split()
-    n = int(grid_parts[0])
+    if len(grid_parts) != grid_fields:
+        raise ContractError(f"#grid of a {space} kernel needs {grid_fields} "
+                            f"fields, got {header['grid']!r}")
+    try:
+        n = int(grid_parts[0])
+        grid_params = [float(x) for x in grid_parts[1:]]
+    except ValueError as exc:
+        raise ContractError(f"malformed #grid header in {path}: {exc}") from exc
     body = lines[body_start:]
     if len(body) != 2 * n:
         raise ContractError(
@@ -86,22 +99,23 @@ def read_kernel(path):
         )
     nodes = np.empty(n)
     weights = np.empty(n)
-    for i, ln in enumerate(body[:n]):
-        a, _, b = ln.partition(",")
-        nodes[i] = float(a)
-        weights[i] = float(b)
-    values = np.array([[float(tok) for tok in ln.split()] for ln in body[n:]])
-    if values.shape != (n, n):
-        raise ContractError(f"value block {values.shape} does not match n={n}")
+    try:
+        for i, ln in enumerate(body[:n]):
+            a, _, b = ln.partition(",")
+            nodes[i] = float(a)
+            weights[i] = float(b)
+        rows = [[float(tok) for tok in ln.split()] for ln in body[n:]]
+    except ValueError as exc:
+        raise ContractError(f"malformed number in {path}: {exc}") from exc
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ContractError(f"value row {i} has {len(row)} entries, expected {n}")
+    values = np.array(rows)
 
-    space = header["space"]
     if space == "coordinate":
-        grid = RadialGrid(nodes=nodes, weights=weights,
-                          r_max=float(grid_parts[1]))
+        grid = RadialGrid(nodes=nodes, weights=weights, r_max=grid_params[0])
         return CoordinateKernel(grid=grid, values=values)
-    if space != "momentum":
-        raise ContractError(f"unknown space {space!r}")
-    grid = build_momentum_grid(n, float(grid_parts[1]), float(grid_parts[2]))
+    grid = build_momentum_grid(n, *grid_params)
     if np.max(np.abs(grid.nodes - nodes)) > 1e-12 * grid.cutoff:
         raise ConsistencyError(
             "stored nodes disagree with the rebuilt grid; "

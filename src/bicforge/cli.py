@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bkio
+from .bkio import format_double
 from .coordinate import (build_uniform_radial_grid, momentum_to_coordinate,
                          vb_profile_node, wavefunction_to_coordinate)
 from .errors import (BicForgeError, CensusAmbiguousError,
@@ -70,18 +71,14 @@ class RunConfig:
             raise ConfigurationError("need at least one target energy")
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _etag(e: float) -> str:
     return f"E{e:+.1f}"
 
 
 def _energy_line(name: str, value: float, cfg: RunConfig) -> str:
-    line = f"{name}_fm2 = {_fmt(value)}"
+    line = f"{name}_fm2 = {format_double(value)}"
     if cfg.mev:
-        line += f"\n{name}_MeV = {_fmt(value * MEV_PER_FM2)}"
+        line += f"\n{name}_MeV = {format_double(value * MEV_PER_FM2)}"
     return line
 
 
@@ -95,10 +92,10 @@ def _write_curve(directory: Path, stem: str, names, columns, fmt: str) -> Path:
     rows = list(zip(*columns))
     if fmt == "csv":
         lines = [",".join(names)]
-        lines += [",".join(_fmt(v) for v in row) for row in rows]
+        lines += [",".join(format_double(v) for v in row) for row in rows]
     else:
         lines = ["# " + " ".join(names)]
-        lines += [" ".join(_fmt(v) for v in row) for row in rows]
+        lines += [" ".join(format_double(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
     return path
 
@@ -119,8 +116,8 @@ def _census_lines(label: str, kernel, grid, samples: int = 64):
         return [f"census_{label} = ambiguous ({exc})"]
     return [
         f"census_{label} = N={c.n_total} Nminus={c.n_minus} Nplus={c.n_plus}",
-        f"census_{label}_delta0_rad = {_fmt(c.delta0)}",
-        f"census_{label}_deltaInf_rad = {_fmt(c.deltaInf)}",
+        f"census_{label}_delta0_rad = {format_double(c.delta0)}",
+        f"census_{label}_deltaInf_rad = {format_double(c.deltaInf)}",
     ]
 
 
@@ -129,7 +126,7 @@ def _cmd_seed(cfg: RunConfig, args) -> list:
     path = _outdir(cfg) / "seed.bk"
     bkio.write_kernel(v0, path)
     origin = 4.0 * np.pi * cfg.lam * (cfg.b * np.sqrt(np.pi)) ** 3
-    return [f"kernel_file = {path}", f"kernel_origin_fm = {_fmt(origin)}"]
+    return [f"kernel_file = {path}", f"kernel_origin_fm = {format_double(origin)}"]
 
 
 def _cmd_bound(cfg: RunConfig, args) -> list:
@@ -149,9 +146,9 @@ def _cmd_phase(cfg: RunConfig, args) -> list:
     drop = curve.delta0 - curve.deltaInf
     return [
         f"curve_file = {path}",
-        f"delta0_rad = {_fmt(curve.delta0)}",
-        f"deltaInf_rad = {_fmt(curve.deltaInf)}",
-        f"drop_over_pi = {_fmt(drop / np.pi)}",
+        f"delta0_rad = {format_double(curve.delta0)}",
+        f"deltaInf_rad = {format_double(curve.deltaInf)}",
+        f"drop_over_pi = {format_double(drop / np.pi)}",
     ]
 
 
@@ -165,7 +162,7 @@ def _cmd_tmatrix(cfg: RunConfig, args) -> list:
     return [
         f"t_real_file = {re_path}",
         f"t_imag_file = {im_path}",
-        f"t_max_abs_fm = {_fmt(np.max(np.abs(t)))}",
+        f"t_max_abs_fm = {format_double(np.max(np.abs(t)))}",
     ]
 
 
@@ -208,7 +205,8 @@ def _cmd_shift(cfg: RunConfig, args) -> list:
         moved = BoundState(energy=e, samples=phi.samples, grid=grid,
                            value_at=phi.value_at)
         lines.append(f"kernel_{tag}_file = {path}")
-        lines.append(f"residual_{tag} = {_fmt(schrodinger_residual(shifted, moved))}")
+        residual = schrodinger_residual(shifted, moved)
+        lines.append(f"residual_{tag} = {format_double(residual)}")
         lines.extend(_census_lines(tag, shifted, grid))
     return lines
 
@@ -231,9 +229,10 @@ def _cmd_perturb(cfg: RunConfig, args) -> list:
     kept = min(moved, key=lambda st: abs(st.energy - phi.energy), default=None)
     lines = [
         f"kernel_file = {path}",
-        f"strength = {_fmt(args.strength)}",
-        f"phi_residual = {_fmt(schrodinger_residual(perturbed, phi))}",
-        f"max_delta_change_rad = {_fmt(np.max(np.abs(new_curve.delta - base_curve.delta)))}",
+        f"strength = {format_double(args.strength)}",
+        f"phi_residual = {format_double(schrodinger_residual(perturbed, phi))}",
+        "max_delta_change_rad = "
+        f"{format_double(np.max(np.abs(new_curve.delta - base_curve.delta)))}",
     ]
     if kept is not None:
         lines.append(_energy_line("kept_state", kept.energy, cfg))
@@ -250,9 +249,9 @@ def _cmd_census(cfg: RunConfig, args) -> list:
     c = bic_census(kernel, grid, samples=args.samples)
     return [
         f"census_{label} = N={c.n_total} Nminus={c.n_minus} Nplus={c.n_plus}",
-        f"delta0_rad = {_fmt(c.delta0)}",
-        f"deltaInf_rad = {_fmt(c.deltaInf)}",
-        f"drop_over_pi = {_fmt((c.delta0 - c.deltaInf) / np.pi)}",
+        f"delta0_rad = {format_double(c.delta0)}",
+        f"deltaInf_rad = {format_double(c.deltaInf)}",
+        f"drop_over_pi = {format_double((c.delta0 - c.deltaInf) / np.pi)}",
     ]
 
 
@@ -273,7 +272,8 @@ def _cmd_extract(cfg: RunConfig, args) -> list:
         f"embedded_states = {len(pairs)}",
     ]
     if svals[0] > 0:
-        lines.append(f"factorization_ratio = {_fmt(svals[min(len(pairs), len(svals) - 1)] / svals[0])}")
+        ratio = svals[min(len(pairs), len(svals) - 1)] / svals[0]
+        lines.append(f"factorization_ratio = {format_double(ratio)}")
     for i, (st, k_sq) in enumerate(pairs):
         lines.append(_energy_line(f"bic_{i}_Ksq", k_sq, cfg))
     return lines
@@ -302,7 +302,7 @@ def _cmd_coord(cfg: RunConfig, args) -> list:
         if node is None:
             lines.append(f"node_{tag}_fm = none")
         else:
-            lines.append(f"node_{tag}_fm = {_fmt(node)}")
+            lines.append(f"node_{tag}_fm = {format_double(node)}")
     return lines
 
 
@@ -318,8 +318,8 @@ def _cmd_vnw(cfg: RunConfig, args) -> list:
         f"v_file = {v_path}",
         f"phi_file = {phi_path}",
         _energy_line("E", args.k ** 2, cfg),
-        f"residual = {_fmt(vnw_verify(model))}",
-        f"phi_norm = {_fmt(model.norm())}",
+        f"residual = {format_double(vnw_verify(model))}",
+        f"phi_norm = {format_double(model.norm())}",
     ]
 
 
@@ -343,9 +343,9 @@ def _cmd_separable(cfg: RunConfig, args) -> list:
     phi_path = _write_curve(out, "separable_phi", ("k", "phi"),
                             (grid.nodes, state.samples), cfg.fmt)
     lines = [
-        f"coupling_critical = {_fmt(lam_c)}",
+        f"coupling_critical = {format_double(lam_c)}",
         _energy_line("Ksq", state.energy, cfg),
-        f"residual = {_fmt(schrodinger_residual(kernel, state))}",
+        f"residual = {format_double(schrodinger_residual(kernel, state))}",
         f"phi_file = {phi_path}",
     ]
     lines.extend(_census_lines("separable", kernel, grid))
@@ -358,8 +358,8 @@ def _cmd_verify_ab(cfg: RunConfig, args) -> list:
     t = half_on_shell_T_matrix(v0, grid)
     res_a, res_b = verify_conditions_AB(t, states, grid)
     return [
-        f"residual_A = {_fmt(res_a)}",
-        f"residual_B = {_fmt(res_b)}",
+        f"residual_A = {format_double(res_a)}",
+        f"residual_B = {format_double(res_b)}",
     ]
 
 
@@ -382,8 +382,8 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
     seed_curve = phase_curve(v0, grid, samples=48)
     _write_curve(ph_dir, "delta_seed", ("k", "delta_rad"),
                  (seed_curve.momenta, seed_curve.delta), cfg.fmt)
-    summary.append(f"seed_delta0_rad = {_fmt(seed_curve.delta0)}")
-    summary.append(f"seed_deltaInf_rad = {_fmt(seed_curve.deltaInf)}")
+    summary.append(f"seed_delta0_rad = {format_double(seed_curve.delta0)}")
+    summary.append(f"seed_deltaInf_rad = {format_double(seed_curve.deltaInf)}")
 
     tm_dir = out / "t-matrix"
     tm_dir.mkdir(exist_ok=True)
@@ -414,7 +414,7 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
         sig = detect_bic_signature(vb)
         node = vb_profile_node(phi_mesh, mesh.nodes, e)
         node_lines.append(f"node_{tag}_fm = "
-                          + ("none" if node is None else _fmt(node)))
+                          + ("none" if node is None else format_double(node)))
         summary.append(f"signature_{tag} = origin {sig.origin_sign:+d}, "
                        f"{len(sig.node_momenta)} momentum nodes")
     (co_dir / "nodes.txt").write_text("\n".join(node_lines) + "\n")
@@ -434,9 +434,9 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
     _write_curve(pe_dir, "delta_perturbed", ("k", "delta_rad"),
                  (new_curve.momenta, new_curve.delta), cfg.fmt)
     summary.append(f"perturb_phi_residual = "
-                   f"{_fmt(schrodinger_residual(perturbed, phi))}")
+                   f"{format_double(schrodinger_residual(perturbed, phi))}")
     summary.append(f"perturb_max_delta_change_rad = "
-                   f"{_fmt(np.max(np.abs(new_curve.delta - seed_curve.delta)))}")
+                   f"{format_double(np.max(np.abs(new_curve.delta - seed_curve.delta)))}")
 
     ce_dir = out / "census"
     ce_dir.mkdir(exist_ok=True)
@@ -453,7 +453,7 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
     rr = np.linspace(0.03, 40.0, 2000)
     _write_curve(bm_dir, "vnw_v", ("r", "v"), (rr, vnw_model.v(rr)), cfg.fmt)
     _write_curve(bm_dir, "vnw_phi", ("r", "phi"), (rr, vnw_model.phi(rr)), cfg.fmt)
-    summary.append(f"vnw_residual = {_fmt(vnw_verify(vnw_model))}")
+    summary.append(f"vnw_residual = {format_double(vnw_verify(vnw_model))}")
 
     def sep_h(p):
         return np.exp(-np.asarray(p) ** 2)
@@ -463,7 +463,7 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
         return (1.0 - p * p) * np.exp(-p * p)
 
     lam_c = separable_tune(sep_g, 1.0, grid, h=sep_h)
-    summary.append(f"separable_coupling = {_fmt(lam_c)}")
+    summary.append(f"separable_coupling = {format_double(lam_c)}")
 
     (out / "summary.txt").write_text("\n".join(summary) + "\n")
     return [f"output_tree = {out}", f"summary_file = {out / 'summary.txt'}"]

@@ -315,20 +315,46 @@ def separable_bic(model: SeparableModel) -> BoundState:
 def _numerov_sweep(v_samples, r, energies):
     """Outward Numerov integration of u'' = (V - E) u for a batch of energies.
 
-    Returns the full u array, shape (len(r), len(energies)), seeded with
-    the regular S-wave behavior u ~ r at the origin.
+    Vectorised across energies, marching rolling rows of u through the
+    mesh.  Returns the last three rows (u[-3], u[-2], u[-1]), each of
+    length len(energies), of the regular S-wave solution seeded with
+    u ~ r at the origin.
     """
     h = r[1] - r[0]
-    e_arr = np.atleast_1d(np.asarray(energies, dtype=float))
-    f = v_samples[:, None] - e_arr[None, :]
     c = h * h / 12.0
-    u = np.empty((r.size, e_arr.size))
-    u[0] = r[0]
-    u[1] = r[1]
+    c10 = 10.0 * c
+    e_arr = np.asarray(energies, dtype=float)
+    f = v_samples[1] - e_arr
+    g_prev = 1.0 - c * (v_samples[0] - e_arr)
+    g = 1.0 - c * f
+    u_prev2 = u_prev = np.full(e_arr.shape, r[0])
+    u = np.full(e_arr.shape, r[1])
     for i in range(1, r.size - 1):
-        u[i + 1] = ((2.0 + 10.0 * c * f[i]) * u[i] - (1.0 - c * f[i - 1]) * u[i - 1]) \
-            / (1.0 - c * f[i + 1])
-    return u
+        f_next = v_samples[i + 1] - e_arr
+        g_next = 1.0 - c * f_next
+        u_prev2, u_prev, u = u_prev, u, \
+            ((2.0 + c10 * f) * u - g_prev * u_prev) / g_next
+        f, g_prev, g = f_next, g, g_next
+    return u_prev2, u_prev, u
+
+
+def _numerov_tail(v_samples, r, energy):
+    """Last three values of the outward Numerov solution at one energy.
+
+    The scalar twin of _numerov_sweep: with a = 2 + 10 c f, g = 1 - c f
+    and c = h^2/12, each step is u[i+1] = (a[i] u[i] - g[i-1] u[i-1]) /
+    g[i+1] on Python floats.
+    """
+    h = r[1] - r[0]
+    c = h * h / 12.0
+    f = v_samples - energy
+    a = (2.0 + 10.0 * c * f).tolist()
+    g = (1.0 - c * f).tolist()
+    u_prev2 = u_prev = float(r[0])
+    u = float(r[1])
+    for a_i, g_before, g_after in zip(a[1:-1], g[:-2], g[2:]):
+        u_prev2, u_prev, u = u_prev, u, (a_i * u - g_before * u_prev) / g_after
+    return u_prev2, u_prev, u
 
 
 def local_oracle(v_of_r: Callable, mode: str, k: Optional[float] = None,
@@ -356,7 +382,16 @@ def local_oracle(v_of_r: Callable, mode: str, k: Optional[float] = None,
     -----
     Shares no code with the momentum-space solvers, which is the point:
     agreement between the two routes validates both.
+
+    The 400-energy bracket scan integrates all energies at once with
+    numpy rows.  Bisection and phase mode integrate one energy, and
+    there numpy would spend its time on per-call overhead for
+    one-element arrays, so that recurrence runs on Python floats.  Both
+    paths perform the same IEEE operations in the same order, so they
+    agree bit for bit with each other and with a full-array loop.
     """
+    if steps < 3:
+        raise ContractError(f"need at least 3 Numerov mesh points, got {steps}")
     r = np.linspace(r_max / steps, r_max, steps)
     v = np.asarray(v_of_r(r), dtype=float)
 
@@ -375,10 +410,10 @@ def local_oracle(v_of_r: Callable, mode: str, k: Optional[float] = None,
         if bracket is None:
             return None
         a, b = bracket
-        fa = _numerov_sweep(v, r, [a])[-1, 0]
+        fa = _numerov_tail(v, r, a)[-1]
         for _ in range(80):
             mid = 0.5 * (a + b)
-            fm = _numerov_sweep(v, r, [mid])[-1, 0]
+            fm = _numerov_tail(v, r, mid)[-1]
             if fa * fm <= 0:
                 b = mid
             else:
@@ -388,12 +423,12 @@ def local_oracle(v_of_r: Callable, mode: str, k: Optional[float] = None,
     if mode == "phase":
         if k is None or k <= 0:
             raise ContractError("phase mode needs a positive momentum k")
-        u = _numerov_sweep(v, r, [k * k])[:, 0]
+        u_prev2, u_prev, u = _numerov_tail(v, r, k * k)
         h = r[1] - r[0]
         # central derivative at the second-to-last node
         rm = r[-2]
-        du = (u[-1] - u[-3]) / (2.0 * h)
-        delta = np.arctan2(k * u[-2], du) - k * rm
+        du = (u - u_prev2) / (2.0 * h)
+        delta = np.arctan2(k * u_prev, du) - k * rm
         return float((delta + 0.5 * np.pi) % np.pi - 0.5 * np.pi)
 
     raise ContractError(f"unknown oracle mode {mode!r}")

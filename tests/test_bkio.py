@@ -87,3 +87,43 @@ def test_corrupted_node_is_caught_against_the_rebuilt_grid(tmp_path, v0):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ConsistencyError):
         read_kernel(path)
+
+
+def _non_numeric_value(lines):
+    row = lines[-1].split()
+    row[5] = "oops"
+    lines[-1] = " ".join(row)
+    return lines
+
+
+def _ragged_value_row(lines):
+    lines[-1] = lines[-1].rsplit(" ", 1)[0]
+    return lines
+
+
+def _headers_only(lines):
+    return [ln for ln in lines if ln.startswith("#")]
+
+
+def _non_numeric_grid_size(lines):
+    return ["#grid x 4 20" if ln.startswith("#grid") else ln for ln in lines]
+
+
+def _short_grid_header(lines):
+    return ["#grid 128 4" if ln.startswith("#grid") else ln for ln in lines]
+
+
+@pytest.mark.parametrize("corrupt,message", [
+    (_non_numeric_value, "malformed number"),
+    (_ragged_value_row, "value row 127 has 127 entries"),
+    (_headers_only, "got 0"),
+    (_non_numeric_grid_size, "malformed #grid"),
+    (_short_grid_header, "needs 3 fields"),
+], ids=["non_numeric", "ragged", "headers_only", "grid_size", "grid_fields"])
+def test_malformed_body_is_a_contract_error(tmp_path, v0, corrupt, message):
+    path = tmp_path / "bad.bk"
+    write_kernel(v0, path)
+    lines = corrupt(path.read_text().splitlines())
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ContractError, match=message):
+        read_kernel(path)

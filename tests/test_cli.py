@@ -59,6 +59,14 @@ def test_missing_input_file_fails_cleanly(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_malformed_input_file_fails_cleanly(capsys, tmp_path):
+    bad = tmp_path / "bad.bk"
+    bad.write_text("#grid 2 1 10\n#space momentum\n#symmetry symmetric\n"
+                   "0.1,0.2\n0.3,0.4\n1 2\n3 oops\n")
+    assert main(["census", "--in", str(bad), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_seed_writes_kernel_with_analytic_origin(capsys, tmp_path):
     assert main(["--out", str(tmp_path), "--n", "16", "seed"]) == 0
     fields = _fields(_lines(capsys))

@@ -20,10 +20,12 @@ from bicforge import (
     vnw_build,
     vnw_verify,
 )
+from bicforge.reference import _numerov_sweep, _numerov_tail
 from conftest import SEED_B, SEED_LAM
 
 GOLDEN_COUPLING = 6333.293939505397
 ORACLE_E0 = -5.378298070780753
+NUMEROV_STEPS = 600
 
 
 def _g(p):
@@ -187,3 +189,73 @@ def test_oracle_rejects_bad_mode_and_missing_momentum():
         local_oracle(lambda r: 0.0 * r, "resonance")
     with pytest.raises(ContractError):
         local_oracle(lambda r: 0.0 * r, "phase")
+
+
+def _gaussian(lam, b=SEED_B):
+    return lambda r: lam * np.exp(-(r / b) ** 2)
+
+
+def _full_array_numerov(v_samples, r, energies):
+    """The full-array Numerov loop the oracle once ran: the bit-level reference."""
+    h = r[1] - r[0]
+    e_arr = np.atleast_1d(np.asarray(energies, dtype=float))
+    f = v_samples[:, None] - e_arr[None, :]
+    c = h * h / 12.0
+    u = np.empty((r.size, e_arr.size))
+    u[0] = r[0]
+    u[1] = r[1]
+    for i in range(1, r.size - 1):
+        u[i + 1] = ((2.0 + 10.0 * c * f[i]) * u[i] - (1.0 - c * f[i - 1]) * u[i - 1]) \
+            / (1.0 - c * f[i + 1])
+    return u
+
+
+def _reference_oracle(v_of_r, mode, k=None, r_max=12.0, steps=NUMEROV_STEPS):
+    """local_oracle's scan, bisection and phase matching over the full-array loop."""
+    r = np.linspace(r_max / steps, r_max, steps)
+    v = np.asarray(v_of_r(r), dtype=float)
+    if mode == "bound":
+        scan = np.linspace(1.000001 * float(np.min(v)), -1e-6, 400)
+        tails = _full_array_numerov(v, r, scan)[-1]
+        i = next(i for i in range(scan.size - 1) if tails[i] * tails[i + 1] < 0)
+        a, b = scan[i], scan[i + 1]
+        fa = _full_array_numerov(v, r, [a])[-1, 0]
+        for _ in range(80):
+            mid = 0.5 * (a + b)
+            fm = _full_array_numerov(v, r, [mid])[-1, 0]
+            if fa * fm <= 0:
+                b = mid
+            else:
+                a, fa = mid, fm
+        return 0.5 * (a + b)
+    u = _full_array_numerov(v, r, [k * k])[:, 0]
+    du = (u[-1] - u[-3]) / (2.0 * (r[1] - r[0]))
+    delta = np.arctan2(k * u[-2], du) - k * r[-2]
+    return float((delta + 0.5 * np.pi) % np.pi - 0.5 * np.pi)
+
+
+@pytest.mark.parametrize("lam", [SEED_LAM, -50.0, -20.0])
+def test_oracle_bound_energy_is_bit_identical_to_the_full_array_loop(lam):
+    e = local_oracle(_gaussian(lam), "bound", steps=NUMEROV_STEPS)
+    assert e == _reference_oracle(_gaussian(lam), "bound")
+
+
+@pytest.mark.parametrize("k", [0.3, 1.0, 2.7])
+def test_oracle_phase_is_bit_identical_to_the_full_array_loop(k):
+    delta = local_oracle(_gaussian(SEED_LAM), "phase", k=k, steps=NUMEROV_STEPS)
+    assert delta == _reference_oracle(_gaussian(SEED_LAM), "phase", k=k)
+
+
+def test_batch_and_single_energy_tails_are_bit_identical():
+    r = np.linspace(12.0 / NUMEROV_STEPS, 12.0, NUMEROV_STEPS)
+    v = _gaussian(SEED_LAM)(r)
+    energies = np.array([-29.0, ORACLE_E0, -0.5, 1.0])
+    batch = _numerov_sweep(v, r, energies)
+    assert np.array_equal(np.array(batch), _full_array_numerov(v, r, energies)[-3:])
+    for j, e in enumerate(energies):
+        assert _numerov_tail(v, r, e) == tuple(row[j] for row in batch)
+
+
+def test_oracle_rejects_a_mesh_too_short_to_match():
+    with pytest.raises(ContractError):
+        local_oracle(_gaussian(SEED_LAM), "phase", k=1.0, steps=2)
