@@ -20,6 +20,7 @@ the residual operator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .grid import MomentumGrid, RadialGrid, build_momentum_grid
 from .kernels import Kernel
-from .scattering import _barycentric_coeffs
 from .spectral import BoundState
 
 FINE_MOMENTUM_NODES = 1024
@@ -79,17 +79,15 @@ def build_uniform_radial_grid(n: int, r_max: float) -> RadialGrid:
     return RadialGrid(nodes=nodes, weights=np.full(n, h), r_max=float(r_max))
 
 
-def _fine_resample(grid: MomentumGrid):
-    """Fine auxiliary momentum grid plus the resampling matrix onto it."""
-    fine = build_momentum_grid(FINE_MOMENTUM_NODES, grid.map_scale, grid.cutoff)
-    b = np.empty((fine.n, grid.n))
-    for l, q in enumerate(fine.nodes):
-        c, hit = _barycentric_coeffs(grid, q)
-        if c is None:
-            b[l, :] = 0.0
-            b[l, hit] = 1.0
-        else:
-            b[l, :] = c
+@lru_cache(maxsize=4)
+def _fine_resample(n: int, map_scale: float, cutoff: float):
+    """Fine auxiliary momentum grid plus the read-only resampling matrix onto it.
+
+    Cached per grid shape, which fixes a grid from build_momentum_grid.
+    """
+    fine = build_momentum_grid(FINE_MOMENTUM_NODES, map_scale, cutoff)
+    b = build_momentum_grid(n, map_scale, cutoff).interpolation_matrix(fine.nodes)
+    b.setflags(write=False)
     return fine, b
 
 
@@ -116,7 +114,7 @@ def momentum_to_coordinate(V: Kernel, rgrid: RadialGrid) -> CoordinateKernel:
     """
     if V.space != "momentum":
         raise ContractError("input kernel must live in momentum space")
-    fine, b = _fine_resample(V.grid)
+    fine, b = _fine_resample(V.n, V.grid.map_scale, V.grid.cutoff)
     vf = b @ V.values @ b.T
     a = _bessel_block(fine.nodes, fine.measure, rgrid.nodes)
     return CoordinateKernel(grid=rgrid, values=a.T @ vf @ a)
@@ -149,7 +147,7 @@ def wavefunction_to_coordinate(phi: BoundState, rgrid: RadialGrid) -> np.ndarray
 
 
 def _phi_to_radial(samples, kgrid, r):
-    fine, b = _fine_resample(kgrid)
+    fine, b = _fine_resample(kgrid.n, kgrid.map_scale, kgrid.cutoff)
     return _bessel_block(fine.nodes, fine.measure, np.asarray(r, dtype=float)).T @ (b @ samples)
 
 

@@ -20,6 +20,7 @@ reporting constant only; no computation depends on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -33,6 +34,24 @@ def _readonly(a):
     a = np.asarray(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _map_constant(map_scale, cutoff):
+    """D = 1 + 2 c / Lambda of the rational map k = c (1 + x) / (D - x)."""
+    return 1.0 + 2.0 * map_scale / cutoff
+
+
+def _map_jacobian(x, map_scale, cutoff):
+    """dk/dx = c (D + 1) / (D - x)^2 of the rational map."""
+    d = _map_constant(map_scale, cutoff)
+    return map_scale * (d + 1.0) / (d - x) ** 2
+
+
+@lru_cache(maxsize=16)
+def _bary_weights(n: int) -> np.ndarray:
+    """Barycentric weights of the n Gauss-Legendre points (Berrut & Trefethen)."""
+    x, glw = np.polynomial.legendre.leggauss(n)
+    return ((-1.0) ** np.arange(n)) * np.sqrt((1.0 - x * x) * glw)
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,6 +102,30 @@ class MomentumGrid:
     @property
     def n(self) -> int:
         return self.nodes.size
+
+    @property
+    def map_jacobian(self) -> np.ndarray:
+        """dk/dx at the nodes, the weights' Jacobian without the Gauss weights."""
+        return _map_jacobian(self.gauss_x, self.map_scale, self.cutoff)
+
+    def map_x(self, k):
+        """Map variable x in (-1, 1) of momentum k, elementwise."""
+        d = _map_constant(self.map_scale, self.cutoff)
+        return (d * k - self.map_scale) / (k + self.map_scale)
+
+    def interpolation_matrix(self, qs) -> np.ndarray:
+        """C of shape qs.shape + (n,) with f(qs) ~ C @ f(nodes): barycentric in x.
+
+        Interpolating in the map variable keeps the scheme spectrally
+        accurate for smooth kernels (Berrut & Trefethen, SIAM Rev. 46
+        (2004) 501).  A momentum on a node (to 1e-14 in x) gets its unit row.
+        """
+        diff = self.map_x(np.asarray(qs, dtype=float))[..., None] - self.gauss_x
+        hit = np.abs(diff) < 1e-14
+        on_node = np.any(hit, axis=-1, keepdims=True)
+        safe = np.where(on_node, 1.0, diff)
+        c = np.where(on_node, hit, _bary_weights(self.n) / safe)
+        return c / np.sum(c, axis=-1, keepdims=True)
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,9 +183,9 @@ def build_momentum_grid(n: int, map_scale: float = 2.0, cutoff: float = 40.0) ->
             f"need 0 < map_scale < cutoff, got map_scale={map_scale}, cutoff={cutoff}"
         )
     x, gw = np.polynomial.legendre.leggauss(n)
-    d = 1.0 + 2.0 * map_scale / cutoff
+    d = _map_constant(map_scale, cutoff)
     k = map_scale * (1.0 + x) / (d - x)
-    jac = map_scale * (d + 1.0) / (d - x) ** 2
+    jac = _map_jacobian(x, map_scale, cutoff)
     return MomentumGrid(nodes=k, weights=gw * jac, cutoff=float(cutoff),
                         map_scale=float(map_scale), gauss_x=x)
 

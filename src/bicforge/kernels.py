@@ -35,7 +35,8 @@ class Kernel:
         Declared symmetry; validated on construction for "symmetric".
     space : {"momentum", "coordinate"}
     evaluate : callable, optional
-        evaluate(q, k_array) -> row of V(q, k) at scalar momentum q.
+        evaluate(q, k_array) -> V(q, k) of shape q.shape + k_array.shape,
+        one row per momentum in q (a scalar q gives one 1-d row).
         Present only when a closed-form or transform expression exists.
     """
 
@@ -81,10 +82,8 @@ def _gauss_formula(lam: float, b: float):
     pref = 4.0 * np.pi * lam * (b * np.sqrt(np.pi)) ** 3
 
     def formula(kp, k):
-        kp = np.asarray(kp, dtype=float)
-        k = np.asarray(k, dtype=float)
-        kpc = kp[:, None] if kp.ndim == 1 else kp
-        kc = k[None, :] if k.ndim == 1 else k
+        kpc = np.asarray(kp, dtype=float)[..., None]
+        kc = np.asarray(k, dtype=float)
         z = kpc * kc * b * b
         small = z < 1e-6
         zsafe = np.where(small, 1.0, z)
@@ -117,12 +116,8 @@ def gaussian_momentum_kernel(lam: float, b: float, grid: MomentumGrid) -> Kernel
         raise ContractError(f"need b > 0, got {b}")
     f = _gauss_formula(lam, b)
     k = grid.nodes
-
-    def evaluate(q, kk):
-        return f(np.atleast_1d(float(q)), np.asarray(kk))[0]
-
     return Kernel(grid=grid, values=f(k, k), symmetry="symmetric",
-                  space="momentum", evaluate=evaluate)
+                  space="momentum", evaluate=f)
 
 
 def local_to_momentum(v_r: np.ndarray, rgrid: RadialGrid, kgrid: MomentumGrid) -> Kernel:
@@ -148,16 +143,13 @@ def local_to_momentum(v_r: np.ndarray, rgrid: RadialGrid, kgrid: MomentumGrid) -
     core = (4.0 * np.pi) ** 2 * rgrid.weights * r * r * v_r
 
     def bessel_rows(q):
-        return np.sinc(np.multiply.outer(np.atleast_1d(q), r) / np.pi)
-
-    j = bessel_rows(kgrid.nodes)
-    values = (j * core[None, :]) @ j.T
-    values = 0.5 * (values + values.T)
+        return np.sinc(np.multiply.outer(q, r) / np.pi)
 
     def evaluate(q, kk):
-        jq = bessel_rows(float(q))[0]
-        return bessel_rows(np.asarray(kk)) @ (core * jq)
+        return (core * bessel_rows(q)) @ bessel_rows(kk).T
 
+    values = evaluate(kgrid.nodes, kgrid.nodes)
+    values = 0.5 * (values + values.T)
     return Kernel(grid=kgrid, values=values, symmetry="symmetric",
                   space="momentum", evaluate=evaluate)
 
@@ -174,7 +166,8 @@ def rank_one_update(base: Kernel, left: np.ndarray, right: np.ndarray,
     coefficient : float
         fm^-2 strength multiplying the outer product.
     left_fn, right_fn : callable, optional
-        Off-grid evaluators left_fn(q) -> float for the factors.  When
+        Off-grid evaluators of the factors: fn(q) -> a float for a
+        scalar momentum q, an array of q's shape for an array q.  When
         both are supplied and the base kernel has a row evaluator, the
         result keeps one too.
 
@@ -200,11 +193,8 @@ def rank_one_update(base: Kernel, left: np.ndarray, right: np.ndarray,
         base_eval = base.evaluate
 
         def evaluate(q, kk):
-            kk = np.asarray(kk)
-            # right factor on the requested momenta: exact samples where
-            # they coincide with stored ones, evaluator elsewhere
-            rvals = np.array([float(right_fn(t)) for t in np.atleast_1d(kk)])
-            return base_eval(q, kk) + coefficient * float(left_fn(q)) * rvals
+            return base_eval(q, kk) + np.multiply.outer(coefficient * left_fn(q),
+                                                        right_fn(kk))
 
     return Kernel(grid=base.grid, values=values, symmetry=symmetry,
                   space=base.space, evaluate=evaluate)

@@ -17,6 +17,7 @@ from .errors import CensusAmbiguousError, CensusIndeterminateError, ConsistencyE
 from .grid import MomentumGrid
 from .kernels import Kernel
 from .scattering import PhaseShiftCurve, phase_curve
+from .spectral import _hamiltonian
 
 AMBIGUITY_GATE = 0.25 * np.pi
 
@@ -65,13 +66,9 @@ def bic_census(V: Kernel, grid: MomentumGrid, samples: int = 64) -> BicCensus:
     """
     if V.symmetry != "symmetric" or V.space != "momentum":
         raise ConsistencyError("census requires a symmetric momentum-space kernel")
-    k = grid.nodes
-    s = np.sqrt(grid.measure)
-    h = np.diag(k * k) + s[:, None] * V.values * s[None, :]
-    evals = np.linalg.eigvalsh(0.5 * (h + h.T))
-
-    zero_tol = 0.1 * k[0] * k[0]
-    if np.min(np.abs(evals)) < zero_tol:
+    evals = np.linalg.eigvalsh(_hamiltonian(V, grid))
+    k0 = grid.nodes[0]
+    if np.min(np.abs(evals)) < 0.1 * k0 * k0:
         raise CensusIndeterminateError(
             "an eigenvalue sits at the continuum threshold; "
             "the census cannot assign it to either side"

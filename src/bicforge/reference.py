@@ -20,7 +20,6 @@ import numpy as np
 from .errors import ContractError, NormalizabilityError, NotABicError
 from .grid import MomentumGrid, RadialGrid, inner_product
 from .kernels import Kernel
-from .scattering import _barycentric_coeffs
 from .spectral import BoundState
 
 NORMALIZABILITY_TOL = 1e-8
@@ -181,7 +180,8 @@ class SeparableModel:
             g_fn = self.g_fn
 
             def evaluate(q, kk):
-                return lam * float(g_fn(q)) * np.asarray(g_fn(np.asarray(kk)))
+                return np.multiply.outer(lam * np.asarray(g_fn(q), dtype=float),
+                                         np.asarray(g_fn(kk), dtype=float))
 
         return Kernel(grid=self.grid, values=lam * np.outer(g, g),
                       symmetry="symmetric", space="momentum",
@@ -196,12 +196,7 @@ def _form_factor_callable(g, grid: MomentumGrid):
         raise ContractError("form-factor samples do not match the grid")
 
     def interp(q):
-        q_arr = np.atleast_1d(np.asarray(q, dtype=float))
-        out = np.empty(q_arr.shape)
-        for i, qi in enumerate(q_arr):
-            c, hit = _barycentric_coeffs(grid, qi)
-            out[i] = samples[hit] if c is None else float(c @ samples)
-        return out if np.ndim(q) else float(out[0])
+        return grid.interpolation_matrix(q) @ samples
 
     return interp, samples
 
@@ -300,14 +295,14 @@ def separable_bic(model: SeparableModel) -> BoundState:
         h_fn = model.h_fn
 
         def value_at(q):
-            return float(h_fn(float(q))) / eta
+            return np.asarray(h_fn(q), dtype=float) / eta
 
     elif model.g_fn is not None:
         g_fn = model.g_fn
 
         def value_at(q):
-            q = float(q)
-            return float(g_fn(q)) / ((K * K - q * q) * eta)
+            q = np.asarray(q, dtype=float)
+            return np.asarray(g_fn(q), dtype=float) / ((K * K - q * q) * eta)
 
     return BoundState(energy=K * K, samples=samples, grid=grid, value_at=value_at)
 

@@ -332,14 +332,12 @@ def s_space_perturb(V0: Kernel, state: BoundState, A: Kernel,
         nodes = grid.nodes
 
         def evaluate(q, kk):
-            kk = np.asarray(kk)
-            phi_q = float(phi_at(q))
-            y_q = strength * float(a_eval(q, nodes) @ mu_phi)
-            phi_t = np.array([float(phi_at(t)) for t in np.atleast_1d(kk)])
-            y_t = np.array([strength * float(a_eval(t, nodes) @ mu_phi)
-                            for t in np.atleast_1d(kk)])
-            return (v0_eval(q, kk) + strength * a_eval(q, kk)
-                    - phi_q * y_t - y_q * phi_t + s_scal * phi_q * phi_t)
+            phi_q, phi_t = phi_at(q), phi_at(kk)
+            y_q = strength * (a_eval(q, nodes) @ mu_phi)
+            y_t = strength * (a_eval(kk, nodes) @ mu_phi)
+            outer = np.multiply.outer
+            return (v0_eval(q, kk) + strength * a_eval(q, kk) - outer(phi_q, y_t)
+                    - outer(y_q, phi_t) + outer(s_scal * phi_q, phi_t))
 
     return Kernel(grid=grid, values=values, symmetry="symmetric",
                   space="momentum", evaluate=evaluate)

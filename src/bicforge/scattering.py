@@ -31,7 +31,6 @@ which enforces on-shell unitarity exactly at the discrete level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -140,11 +139,8 @@ class PrincipalValueWeights:
         self.grid = grid
         self.width = width
         k = grid.nodes
-        x = grid.gauss_x
-        d = 1.0 + 2.0 * grid.map_scale / grid.cutoff
-        jac = grid.map_scale * (d + 1.0) / (d - x) ** 2
         self._u = k * k
-        self._dudx = 2.0 * k * jac
+        self._dudx = 2.0 * k * grid.map_jacobian
         self._cache = {}
 
     def column(self, m: int) -> np.ndarray:
@@ -173,49 +169,42 @@ def _require_scattering_kernel(V: Kernel, grid: MomentumGrid):
         raise ContractError("kernel does not live on the supplied grid")
 
 
-@lru_cache(maxsize=16)
-def _bary_weights(n: int) -> np.ndarray:
-    x, glw = np.polynomial.legendre.leggauss(n)
-    return ((-1.0) ** np.arange(n)) * np.sqrt((1.0 - x * x) * glw)
+def _kernel_rows(V: Kernel, grid: MomentumGrid, qs: np.ndarray):
+    """Rows V(q, k_j) over the grid nodes and diagonal values V(q, q), per q in qs.
 
-
-def _barycentric_coeffs(grid: MomentumGrid, q: float):
-    """Barycentric interpolation coefficients at momentum q, in the map variable.
-
-    Returns (coeffs, node_index): either a weight vector over the grid
-    nodes, or the index of an exactly coinciding node.  Interpolating in
-    the Gauss-Legendre variable x keeps the scheme spectrally accurate
-    for smooth kernels.
-    """
-    x = grid.gauss_x
-    d = 1.0 + 2.0 * grid.map_scale / grid.cutoff
-    xq = (d * q - grid.map_scale) / (q + grid.map_scale)
-    diff = xq - x
-    hit = int(np.argmin(np.abs(diff)))
-    if abs(diff[hit]) < 1e-14:
-        return None, hit
-    c = _bary_weights(grid.n) / diff
-    return c / np.sum(c), None
-
-
-def _kernel_row(V: Kernel, grid: MomentumGrid, q: float, momenta: np.ndarray) -> np.ndarray:
-    """Kernel row V(q, momenta), solver-grade when an evaluator exists.
-
-    Without an evaluator the row is barycentric-interpolated from the
-    stored samples: interpolation-grade, fine for phase curves and
-    counting, not for 1e-8 level invariance checks.
+    Solver-grade with an evaluator; otherwise interpolated from the stored
+    samples, fine for phase curves and counting but not for 1e-8 checks.
     """
     if V.evaluate is not None:
-        return np.asarray(V.evaluate(q, momenta), dtype=float)
-    c, hit = _barycentric_coeffs(grid, q)
-    row_nodes = V.values[hit, :].astype(float) if c is None else c @ V.values
+        return V.evaluate(qs, grid.nodes), np.diagonal(V.evaluate(qs, qs))
+    c = grid.interpolation_matrix(qs)
+    rows = c @ V.values
+    return rows, np.sum(rows * c, axis=1)
+
+
+def _k_column(V: Kernel, grid: MomentumGrid, k_on, row, diag) -> np.ndarray:
+    """K(k_i, k_on) from the (n+1)-node system bordered by row V(k_on, k_j) and diag."""
+    k = grid.nodes
     n = grid.n
-    row = np.empty(momenta.size)
-    row[:n] = row_nodes
-    for j in range(n, momenta.size):
-        cj, hj = _barycentric_coeffs(grid, momenta[j])
-        row[j] = row_nodes[hj] if cj is None else float(cj @ row_nodes)
-    return row
+    w, u = grid.weights, k * k
+    u0 = k_on * k_on
+
+    weights = np.empty(n + 1)
+    weights[:n] = w * u / (u0 - u)
+    log_term = np.log((grid.cutoff + k_on) / (grid.cutoff - k_on)) / (2.0 * k_on)
+    weights[n] = u0 * (log_term - np.sum(w / (u0 - u)))
+
+    v_ext = np.empty((n + 1, n + 1))
+    v_ext[:n, :n] = V.values
+    v_ext[n, :n] = row
+    v_ext[:n, n] = row
+    v_ext[n, n] = diag
+
+    a = np.eye(n + 1) - v_ext * (weights / TWO_PI_CUBED)[None, :]
+    try:
+        return np.linalg.solve(a, v_ext[:, n])
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"singular standing-wave system at k_on={k_on}") from exc
 
 
 def solve_k_matrix(V: Kernel, grid: MomentumGrid, k_on: float) -> ScatteringSolution:
@@ -250,33 +239,14 @@ def solve_k_matrix(V: Kernel, grid: MomentumGrid, k_on: float) -> ScatteringSolu
             "the half-on-shell matrix covers that case"
         )
 
-    n = grid.n
-    w, u = grid.weights, k * k
-    u0 = k_on * k_on
-    momenta = np.append(k, k_on)
-
-    weights = np.empty(n + 1)
-    weights[:n] = w * u / (u0 - u)
-    log_term = np.log((grid.cutoff + k_on) / (grid.cutoff - k_on)) / (2.0 * k_on)
-    weights[n] = u0 * (log_term - np.sum(w / (u0 - u)))
-
-    v_ext = np.empty((n + 1, n + 1))
-    v_ext[:n, :n] = V.values
-    row = _kernel_row(V, grid, k_on, momenta)
-    v_ext[n, :] = row
-    v_ext[:n, n] = row[:n]
-
-    a = np.eye(n + 1) - v_ext * (weights / TWO_PI_CUBED)[None, :]
-    try:
-        k_col = np.linalg.solve(a, v_ext[:, n])
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular standing-wave system at k_on={k_on}") from exc
-
+    rows, diag = _kernel_rows(V, grid, np.array([k_on]))
+    k_col = _k_column(V, grid, k_on, rows[0], diag[0])
     rho = density_of_states(k_on)
     k_on_shell = k_col[-1]
     delta = float(np.arctan(-np.pi * rho * k_on_shell))
     t_col = k_col / (1.0 + 1j * np.pi * rho * k_on_shell)
-    return ScatteringSolution(on_shell_momentum=float(k_on), momenta=momenta,
+    return ScatteringSolution(on_shell_momentum=float(k_on),
+                              momenta=np.append(k, k_on),
                               half_on_shell_K=k_col, half_on_shell_T=t_col,
                               delta=delta, rho=float(rho))
 
@@ -323,17 +293,19 @@ def phase_curve(V: Kernel, grid: MomentumGrid, samples: int = 64) -> PhaseShiftC
     """
     if samples < 16:
         raise ContractError(f"need at least 16 samples, got {samples}")
+    _require_scattering_kernel(V, grid)
     lo = 5.0e-4 * grid.cutoff
     hi = 0.97 * grid.cutoff
     ks = np.geomspace(lo, hi, samples)
     # nudge any sample that collides with a grid node
-    for i, q in enumerate(ks):
-        if np.min(np.abs(grid.nodes - q)) < 1e-9 * grid.cutoff:
-            ks[i] = q * (1.0 + 1e-7)
+    gap = np.min(np.abs(np.subtract.outer(ks, grid.nodes)), axis=1)
+    ks[gap < 1e-9 * grid.cutoff] *= 1.0 + 1e-7
 
+    rows, diag = _kernel_rows(V, grid, ks)
     raw = np.empty(samples)
     for i, q in enumerate(ks):
-        raw[i] = solve_k_matrix(V, grid, q).delta
+        k_on_shell = _k_column(V, grid, q, rows[i], diag[i])[-1]
+        raw[i] = np.arctan(-np.pi * density_of_states(q) * k_on_shell)
 
     delta = np.unwrap(2.0 * raw) / 2.0
     delta = delta - np.round(delta[-1] / np.pi) * np.pi

@@ -47,8 +47,9 @@ class BoundState:
         phi(k_i), normalized so inner_product(phi, phi) = 1.
     grid : MomentumGrid
     value_at : callable, optional
-        value_at(q) -> phi(q) at off-grid momentum, computed from the
-        eigenvalue equation.  Present when the defining kernel had a
+        value_at(q) -> phi(q) at off-grid momentum: a float for a
+        scalar q, an array of q's shape for an array q.  Computed from
+        the eigenvalue equation; present when the defining kernel had a
         row evaluator.
     """
 
@@ -85,6 +86,14 @@ def _polish(phi, energy, v_values, grid):
     return _sign_fix(phi)
 
 
+def _hamiltonian(V: Kernel, grid: MomentumGrid) -> np.ndarray:
+    """diag(k^2) + s V s with s = sqrt(measure), symmetrized."""
+    k = grid.nodes
+    s = np.sqrt(grid.measure)
+    h = np.diag(k * k) + s[:, None] * V.values * s[None, :]
+    return 0.5 * (h + h.T)
+
+
 def negative_energy_states(V: Kernel, grid: MomentumGrid) -> list:
     """All bound states with E < 0, in ascending energy order.
 
@@ -110,11 +119,8 @@ def negative_energy_states(V: Kernel, grid: MomentumGrid) -> list:
         raise ContractError("need a symmetric momentum-space kernel")
     if V.n != grid.n:
         raise ShapeError("kernel grid does not match")
-    k = grid.nodes
     s = np.sqrt(grid.measure)
-    h = np.diag(k * k) + s[:, None] * V.values * s[None, :]
-    h = 0.5 * (h + h.T)
-    evals, evecs = np.linalg.eigh(h)
+    evals, evecs = np.linalg.eigh(_hamiltonian(V, grid))
 
     states = []
     for i in np.flatnonzero(evals < 0.0):
@@ -133,8 +139,8 @@ def _eigen_evaluator(row_eval, grid, energy, phi):
     weighted = grid.measure * phi
 
     def value_at(q):
-        q = float(q)
-        return float(row_eval(q, grid.nodes) @ weighted / (energy - q * q))
+        q = np.asarray(q, dtype=float)
+        return row_eval(q, grid.nodes) @ weighted / (energy - q * q)
 
     return value_at
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from bicforge import (
     build_momentum_grid,
@@ -13,6 +14,12 @@ from bicforge import (
 SEED_LAM = -30.0
 SEED_B = 0.5
 SWEEP_ENERGIES = (-4.0, -1.0, 0.0, 1.0, 4.0)
+
+# property tests draw the same few examples on every run, so Tier-1 stays
+# deterministic and fast; no example database is written
+settings.register_profile("tier1", derandomize=True, database=None,
+                          deadline=1000, max_examples=30)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

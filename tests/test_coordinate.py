@@ -20,6 +20,7 @@ from bicforge import (
     vb_profile_node,
     wavefunction_to_coordinate,
 )
+from bicforge.coordinate import _fine_resample
 from conftest import SEED_B, SEED_LAM
 
 SEED_E0 = -5.378305307751852
@@ -167,3 +168,11 @@ def test_residual_checks_shape(rgrid):
     free = CoordinateKernel(grid=rgrid, values=np.zeros((rgrid.n, rgrid.n)))
     with pytest.raises(ShapeError):
         coordinate_residual(free, np.ones(7), 1.0)
+
+
+def test_fine_resample_is_built_once_per_grid_shape(grid):
+    fine, b = _fine_resample(grid.n, grid.map_scale, grid.cutoff)
+    again = _fine_resample(grid.n, grid.map_scale, grid.cutoff)
+    assert again[0] is fine and again[1] is b
+    with pytest.raises(ValueError):
+        b[0, 0] = 0.0

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bicforge import build_momentum_grid, build_radial_grid, inner_product
@@ -68,3 +70,50 @@ def test_inner_product_uses_grid_measure(grid):
 def test_inner_product_rejects_mismatched_shapes(grid):
     with pytest.raises(ShapeError):
         inner_product(np.ones(3), np.ones(grid.n), grid)
+
+
+def _barycentric_row_loop(grid, q, weights):
+    # the per-momentum form interpolation_matrix replaced, kept as reference
+    x = grid.gauss_x
+    d = 1.0 + 2.0 * grid.map_scale / grid.cutoff
+    diff = (d * q - grid.map_scale) / (q + grid.map_scale) - x
+    hit = int(np.argmin(np.abs(diff)))
+    if abs(diff[hit]) < 1e-14:
+        return np.eye(grid.n)[hit]
+    c = weights / diff
+    return c / np.sum(c)
+
+
+def test_interpolation_matrix_matches_per_row_loop_bit_for_bit(grid):
+    x, glw = np.polynomial.legendre.leggauss(grid.n)
+    weights = ((-1.0) ** np.arange(grid.n)) * np.sqrt((1.0 - x * x) * glw)
+    fine = build_momentum_grid(1024)
+    want = np.array([_barycentric_row_loop(grid, q, weights) for q in fine.nodes])
+    assert np.array_equal(grid.interpolation_matrix(fine.nodes), want)
+    assert np.array_equal(grid.interpolation_matrix(grid.nodes), np.eye(grid.n))
+
+
+@given(n=st.integers(8, 64),
+       map_scale=st.floats(0.5, 8.0),
+       cutoff=st.floats(20.0, 60.0),
+       fractions=st.lists(st.floats(1e-6, 1.0 - 1e-6), min_size=1, max_size=6),
+       node=st.integers(0, 63))
+def test_interpolation_matrix_reproduces_polynomials_in_x(
+        n, map_scale, cutoff, fractions, node):
+    grid = build_momentum_grid(n, map_scale, cutoff)
+    qs = cutoff * np.array(fractions)
+    xq = grid.map_x(qs)
+    assume(np.min(np.abs(np.subtract.outer(xq, grid.gauss_x))) > 1e-14)
+    c = grid.interpolation_matrix(qs)
+    assert c.shape == (qs.size, n)
+    assert_allclose(np.sum(c, axis=1), 1.0, rtol=0, atol=1e-13)
+
+    # a Legendre series in x of degree n - 1 (every lower degree mixed in)
+    # is interpolated exactly, up to rounding
+    coef = np.cos(np.arange(n) + n)
+    p_nodes = np.polynomial.legendre.legval(grid.gauss_x, coef)
+    p_q = np.polynomial.legendre.legval(xq, coef)
+    assert_allclose(c @ p_nodes, p_q, rtol=0, atol=1e-12 * np.sum(np.abs(coef)))
+
+    j = node % n
+    assert np.array_equal(grid.interpolation_matrix(grid.nodes[j]), np.eye(n)[j])

@@ -4,12 +4,15 @@ from numpy.testing import assert_allclose
 
 from bicforge import (
     Kernel,
+    SeparableModel,
     build_momentum_grid,
     build_radial_grid,
     gaussian_momentum_kernel,
     local_oracle,
     local_to_momentum,
     rank_one_update,
+    s_space_perturb,
+    separable_tune,
     solve_k_matrix,
     vnw_build,
 )
@@ -119,3 +122,40 @@ def test_rank_one_update_composes_evaluators(v0, phi0, grid):
     want = (v0.evaluate(q, grid.nodes)
             + 2.5 * phi0.value_at(q) * phi0.samples)
     assert_allclose(got, want, rtol=1e-9, atol=1e-12)
+
+
+def _local_kernel(grid):
+    rg = build_radial_grid(200, 12.0)
+    return local_to_momentum(-30.0 * np.exp(-(rg.nodes / 0.5) ** 2), rg, grid)
+
+
+def _separable_kernel(grid):
+    def g(p):
+        return (1.0 - p * p) * np.exp(-p * p)
+
+    lam = separable_tune(g, 1.0, grid, h=lambda p: np.exp(-p * p))
+    return SeparableModel(grid=grid, g_samples=g(grid.nodes), coupling=lam,
+                          k_bic=1.0, g_fn=g).kernel()
+
+
+EVALUATOR_KINDS = {
+    "gaussian": lambda grid, v0, phi0: v0,
+    "local_to_momentum": lambda grid, v0, phi0: _local_kernel(grid),
+    "rank_one_update": lambda grid, v0, phi0: rank_one_update(
+        v0, phi0.samples, phi0.samples, 2.5,
+        left_fn=phi0.value_at, right_fn=phi0.value_at),
+    "s_space_perturb": lambda grid, v0, phi0: s_space_perturb(
+        v0, phi0, gaussian_momentum_kernel(5.0, 1.0, grid)),
+    "separable": lambda grid, v0, phi0: _separable_kernel(grid),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(EVALUATOR_KINDS))
+def test_array_evaluation_matches_stacked_scalar_calls(kind, grid, v0, phi0):
+    V = EVALUATOR_KINDS[kind](grid, v0, phi0)
+    qs = np.append(np.geomspace(0.02, 38.0, 9), grid.nodes[5])
+    kk = np.append(grid.nodes, qs[3])
+    want = np.array([V.evaluate(q, kk) for q in qs])
+    got = V.evaluate(qs, kk)
+    assert got.shape == (qs.size, kk.size)
+    assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))

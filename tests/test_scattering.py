@@ -5,7 +5,10 @@ from numpy.testing import assert_allclose
 from bicforge import (
     Kernel,
     density_of_states,
+    energy_shift,
+    gaussian_momentum_kernel,
     phase_curve,
+    s_space_perturb,
     solve_k_matrix,
 )
 from bicforge.errors import ContractError
@@ -74,3 +77,23 @@ def test_density_of_states_linear_in_k():
     assert_allclose(density_of_states(2.0), 2.0 * density_of_states(1.0),
                     rtol=1e-15)
     assert density_of_states(1.0) > 0.0
+
+
+CURVE_KERNELS = {
+    "seed": lambda grid, v0, phi0: v0,
+    "shifted": lambda grid, v0, phi0: energy_shift(v0, phi0, 4.0),
+    "perturbed": lambda grid, v0, phi0: s_space_perturb(
+        v0, phi0, gaussian_momentum_kernel(5.0, 1.0, grid)),
+    "no_evaluator": lambda grid, v0, phi0: Kernel(
+        grid=grid, values=energy_shift(v0, phi0, 4.0).values),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CURVE_KERNELS))
+def test_phase_curve_matches_per_sample_solves(kind, grid, v0, phi0):
+    V = CURVE_KERNELS[kind](grid, v0, phi0)
+    curve = phase_curve(V, grid, samples=64)
+    raw = np.array([solve_k_matrix(V, grid, q).delta for q in curve.momenta])
+    # compare modulo pi: the curve is unwrapped and anchored, raw is not
+    gap = np.angle(np.exp(2j * (curve.delta - raw))) / 2.0
+    assert np.max(np.abs(gap)) < 1e-10

@@ -5,11 +5,14 @@ from numpy.testing import assert_allclose
 from bicforge import (
     BoundState,
     Kernel,
+    SeparableModel,
     gaussian_momentum_kernel,
     ground_state,
     inner_product,
     negative_energy_states,
     schrodinger_residual,
+    separable_bic,
+    separable_tune,
 )
 from bicforge.errors import ContractError
 
@@ -70,3 +73,38 @@ def test_ground_state_requires_a_negative_eigenvalue(grid):
     repulsive = gaussian_momentum_kernel(30.0, 0.5, grid)
     with pytest.raises(ContractError):
         ground_state(repulsive, grid)
+
+
+def _g(p):
+    return (1.0 - p * p) * np.exp(-p * p)
+
+
+def _h(p):
+    return np.exp(-p * p)
+
+
+def _separable_state(grid, factored):
+    # the unfactored model needs the guard-band coupling to count as tuned
+    h = _h if factored else None
+    lam = separable_tune(_g, 1.0, grid, h=h)
+    return separable_bic(SeparableModel(grid=grid, g_samples=_g(grid.nodes),
+                                        coupling=lam, k_bic=1.0, g_fn=_g, h_fn=h))
+
+
+STATE_KINDS = {
+    "eigen": lambda grid, phi0: phi0,
+    "separable_h": lambda grid, phi0: _separable_state(grid, True),
+    "separable_g": lambda grid, phi0: _separable_state(grid, False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STATE_KINDS))
+def test_state_evaluator_takes_arrays(kind, grid, phi0):
+    state = STATE_KINDS[kind](grid, phi0)
+    qs = np.append(np.geomspace(0.02, 38.0, 9), grid.nodes[5])
+    scalars = [state.value_at(q) for q in qs]
+    assert all(isinstance(v, float) for v in scalars)
+    want = np.array(scalars)
+    got = state.value_at(qs)
+    assert got.shape == qs.shape
+    assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
