@@ -105,20 +105,17 @@ def build_v_b(states, grid: MomentumGrid) -> Kernel:
 
 
 def _t_omega_dagger(t_matrix, grid, pv):
-    """F = T Omega_+^dagger assembled column by column.
+    """F = T Omega_+^dagger.
 
     Column m applies the conjugated outgoing resolvent at energy k_m^2
     to the T columns; the principal value uses the same subtraction
     weights as the solver, the delta term is added analytically.
     """
-    n = grid.n
+    t = np.asarray(t_matrix, dtype=complex)
     rho = density_of_states(grid.nodes)
-    f = np.empty((n, n), dtype=complex)
-    for m in range(n):
-        weights = -pv.column(m) / TWO_PI_CUBED
-        prod = t_matrix * np.conj(t_matrix[m, :])[None, :]
-        f[:, m] = (t_matrix[:, m] + prod @ weights
-                   + 1j * np.pi * rho[m] * t_matrix[:, m] * np.conj(t_matrix[m, m]))
+    f = t @ (np.conj(t).T * (pv.matrix / -TWO_PI_CUBED))
+    f += t
+    f += t * (1j * np.pi * rho * np.conj(np.diag(t)))[None, :]
     return f
 
 
@@ -293,11 +290,9 @@ def verify_conditions_AB(t_matrix: np.ndarray, states, grid: MomentumGrid):
     res_a = np.linalg.norm(f - f.conj().T - comm) / t_norm
 
     rho = density_of_states(k)
-    g = np.empty_like(t_matrix)
-    for i in range(grid.n):
-        weights = pv.column(i) / TWO_PI_CUBED
-        g[i, :] = (t_matrix[i, :] + (weights * np.conj(t_matrix[:, i])) @ t_matrix
-                   + 1j * np.pi * rho[i] * np.conj(t_matrix[i, i]) * t_matrix[i, :])
+    g = (pv.matrix / TWO_PI_CUBED * np.conj(t_matrix)).T @ t_matrix
+    g += t_matrix
+    g += (1j * np.pi * rho * np.conj(np.diag(t_matrix)))[:, None] * t_matrix
     res_b = np.linalg.norm(g - g.conj().T) / t_norm
     return float(res_a), float(res_b)
 

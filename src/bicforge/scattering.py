@@ -19,7 +19,9 @@ through the derivative identity
 evaluated as a Lagrange derivative stencil in the Gauss-Legendre map
 variable x (width 17) divided by du/dx.  Differentiating in x rather
 than in u keeps the stencil on the natural polynomial variable of the
-grid and is what pushes the scheme to 1e-10 class accuracy.
+grid and is what pushes the scheme to 1e-10 class accuracy.  The weights
+of all n on-node columns form one n x n matrix, built at once from
+closed-form stencil weights (PrincipalValueWeights).
 
 The complex T-matrix follows from K by the Heitler relation
 
@@ -100,66 +102,65 @@ class PhaseShiftCurve:
     deltaInf: float
 
 
-def _lagrange_x_derivative(x, m, width):
-    """Weights of d/dx at x[m] from a Lagrange stencil of given width.
+def _x_derivative_stencils(x, width):
+    """Lagrange weights of d/dx at every x[m], one clipped window per row.
 
-    The window is clipped to the array, never centered past its ends.
+    Row m of idx holds the window, of the given width, clipped to the
+    array and never centered past its ends; row m of d holds its weights.
+    With a_l = prod_{k != l} (x_l - x_k) over the window, the weight on
+    x_l, l != m, is a_m / (a_l (x_m - x_l)) and the one on x_m itself is
+    sum_{k != m} 1 / (x_m - x_k) (Berrut & Trefethen, SIAM Rev. 46
+    (2004) 501, sec. 9).
     """
     n = x.size
     width = min(width, n)
-    half = width // 2
-    lo = max(0, min(m - half, n - width))
-    idx = np.arange(lo, lo + width)
+    rows = np.arange(n)
+    lo = np.clip(rows - width // 2, 0, n - width)
+    idx = lo[:, None] + np.arange(width)
     xs = x[idx]
-    xm = x[m]
-    d = np.zeros(width)
-    mloc = m - lo
-    for l in range(width):
-        if l == mloc:
-            d[l] = np.sum(1.0 / (xm - np.delete(xs, l)))
-        else:
-            others = np.delete(xs, [l, mloc])
-            d[l] = np.prod(xm - others) / np.prod(xs[l] - np.concatenate([others, [xm]]))
+    diff = xs[:, :, None] - xs[:, None, :]
+    diff[:, np.arange(width), np.arange(width)] = 1.0
+    a = np.prod(diff, axis=2)
+    mloc = rows - lo
+    gap = x[:, None] - xs
+    gap[rows, mloc] = np.inf            # 1/gap is then zero at x_m itself
+    inv = 1.0 / gap
+    d = a[rows, mloc][:, None] / a * inv
+    d[rows, mloc] = np.sum(inv, axis=1)
     return idx, d
 
 
 class PrincipalValueWeights:
-    """Per-column quadrature weights for the on-node subtraction scheme.
+    """Quadrature weights of the on-node subtraction scheme, all columns at once.
 
-    For on-shell node m the weights W satisfy
+    Column m of ``matrix`` holds the weights W for on-shell node m:
 
         sum_j W_j f(k_j) / (2 pi)^3  ~  PV integral p^2 dp/(2 pi)^3 f(p)/(k_m^2 - p^2)
 
     for smooth f, including the derivative correction that restores the
-    sample the subtraction removes at j = m.  Weights are cached per
-    column; they do not include the 1/(2 pi)^3.
+    sample the subtraction removes at j = m.  The matrix is built once per
+    instance and is read-only; it does not include the 1/(2 pi)^3.
     """
 
     def __init__(self, grid: MomentumGrid, width: int = STENCIL_WIDTH):
-        self.grid = grid
-        self.width = width
-        k = grid.nodes
-        self._u = k * k
-        self._dudx = 2.0 * k * grid.map_jacobian
-        self._cache = {}
+        k, w = grid.nodes, grid.weights
+        u = k * k
+        nodes = np.arange(grid.n)
+        idx, d = _x_derivative_stencils(grid.gauss_x, width)
+        dudx = 2.0 * k * grid.map_jacobian
+        # row m of rows is column m of the matrix, so columns are contiguous
+        gap = u[:, None] - u[None, :]
+        gap[nodes, nodes] = np.inf      # drops j = m from the terms and their sum
+        rows = (w * u) / gap
+        log_term = np.log((grid.cutoff + k) / (grid.cutoff - k)) / (2.0 * k)
+        rows[nodes, nodes] = u * (log_term - np.sum(np.divide(w, gap, out=gap), axis=1))
+        rows[nodes[:, None], idx] += -w[:, None] * d * u[idx] / dudx[:, None]
+        self.matrix = rows.T
+        self.matrix.setflags(write=False)
 
     def column(self, m: int) -> np.ndarray:
-        if m in self._cache:
-            return self._cache[m]
-        grid = self.grid
-        k, w, u = grid.nodes, grid.weights, self._u
-        k0 = k[m]
-        cut = grid.cutoff
-        weights = np.zeros_like(k)
-        mask = np.ones(k.size, dtype=bool)
-        mask[m] = False
-        weights[mask] = w[mask] * u[mask] / (u[m] - u[mask])
-        log_term = np.log((cut + k0) / (cut - k0)) / (2.0 * k0)
-        weights[m] = u[m] * (log_term - np.sum(w[mask] / (u[m] - u[mask])))
-        idx, d = _lagrange_x_derivative(grid.gauss_x, m, self.width)
-        weights[idx] += -w[m] * d * u[idx] / self._dudx[m]
-        self._cache[m] = weights
-        return weights
+        """Weights for on-shell node m, a view of ``matrix``."""
+        return self.matrix[:, m]
 
 
 def _require_scattering_kernel(V: Kernel, grid: MomentumGrid):
