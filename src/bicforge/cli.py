@@ -4,7 +4,9 @@ Each subcommand drives the library with a validated RunConfig and writes
 deterministic outputs: kernel files (.bk), curve files (CSV or aligned
 text), and `name = value` summary lines on stdout.  Identical configs
 produce byte-identical files; nothing in the output depends on time,
-environment, or iteration order.
+environment, or iteration order.  `reproduce-paper` computes every
+product before it writes the first file, so a failing stage leaves no
+output tree behind.
 
 Exit codes: 0 on success, 1 on a diagnosed numerical failure, 2 on
 usage errors.
@@ -82,22 +84,35 @@ def _energy_line(name: str, value: float, cfg: RunConfig) -> str:
     return line
 
 
-def _outdir(cfg: RunConfig) -> Path:
-    cfg.outdir.mkdir(parents=True, exist_ok=True)
-    return cfg.outdir
+def _write_files(directory: Path, files: dict, fmt: str) -> dict:
+    """Write named products under directory; returns name -> path.
+
+    A kernel goes to `<name>.bk`, a list of lines to `<name>.txt`, and a
+    `(names, columns)` curve to `<name>.csv` or, in structured text, to a
+    `# `-headed `<name>.txt`.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, product in files.items():
+        if isinstance(product, list):
+            path = directory / f"{name}.txt"
+            path.write_text("\n".join(product) + "\n")
+        elif isinstance(product, tuple):
+            names, columns = product
+            sep, head, ext = (",", "", ".csv") if fmt == "csv" else (" ", "# ", ".txt")
+            path = directory / (name + ext)
+            lines = [head + sep.join(names)]
+            lines += [sep.join(format_double(v) for v in row) for row in zip(*columns)]
+            path.write_text("\n".join(lines) + "\n")
+        else:
+            path = directory / f"{name}.bk"
+            bkio.write_kernel(product, path)
+        paths[name] = path
+    return paths
 
 
-def _write_curve(directory: Path, stem: str, names, columns, fmt: str) -> Path:
-    path = directory / (stem + (".csv" if fmt == "csv" else ".txt"))
-    rows = list(zip(*columns))
-    if fmt == "csv":
-        lines = [",".join(names)]
-        lines += [",".join(format_double(v) for v in row) for row in rows]
-    else:
-        lines = ["# " + " ".join(names)]
-        lines += [" ".join(format_double(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
-    return path
+def _delta_curve(curve) -> tuple:
+    return ("k", "delta_rad"), (curve.momenta, curve.delta)
 
 
 def _seed(cfg: RunConfig):
@@ -105,11 +120,63 @@ def _seed(cfg: RunConfig):
     return grid, gaussian_momentum_kernel(cfg.lam, cfg.b, grid)
 
 
-def _census_lines(label: str, kernel, grid, samples: int = 64):
+def _moved(phi: BoundState, e: float) -> BoundState:
+    """phi carried to energy e, as energy_shift(V, phi, e) holds it."""
+    return BoundState(energy=e, samples=phi.samples, grid=phi.grid,
+                      value_at=phi.value_at)
+
+
+def _tmatrix_files(t, grid) -> dict:
+    return {"tmatrix_re": Kernel(grid=grid, values=t.real, symmetry="general"),
+            "tmatrix_im": Kernel(grid=grid, values=t.imag, symmetry="general")}
+
+
+def _bound_parts(phi: BoundState, energies, rn: int, rmax: float, mesh_n: int):
+    """The `(r, phi)` curve of phi on a uniform mesh, and tag -> (V_B of phi
+    moved to each energy, its coordinate transform on an rn-node radial
+    grid, the `node_<tag>_fm` line of its radial profile on the mesh)."""
+    mesh = build_uniform_radial_grid(mesh_n, rmax)
+    phi_mesh = wavefunction_to_coordinate(phi, mesh)
+    rgrid = build_radial_grid(rn, rmax)
+    parts = {}
+    for e in energies:
+        tag = _etag(e)
+        vb = build_v_b([_moved(phi, e)], phi.grid)
+        node = vb_profile_node(phi_mesh, mesh.nodes, e)
+        parts[tag] = (vb, momentum_to_coordinate(vb, rgrid), f"node_{tag}_fm = "
+                      + ("none" if node is None else format_double(node)))
+    return (("r", "phi"), (mesh.nodes, phi_mesh)), parts
+
+
+def _vnw(k: float, shape: float):
+    """The oscillating benchmark at momentum k with its v and phi curves."""
+    if not k > 0:
+        raise ConfigurationError(f"vnw needs a momentum k > 0, got {k}")
+    model = vnw_build(k, shape, build_radial_grid(400, 60.0 / k))
+    r = np.linspace(60.0 / k / 2000.0, 40.0 / k, 2000)
+    return model, {"vnw_v": (("r", "v"), (r, model.v(r))),
+                   "vnw_phi": (("r", "phi"), (r, model.phi(r)))}
+
+
+def _separable(kk: float, grid) -> SeparableModel:
+    """Rank-one model with g(p) = (K^2 - p^2) exp(-p^2), tuned to hold K^2."""
+    def h(p):
+        return np.exp(-np.asarray(p) ** 2)
+
+    def g(p):
+        p = np.asarray(p)
+        return (kk * kk - p * p) * np.exp(-p * p)
+
+    return SeparableModel(grid=grid, g_samples=g(grid.nodes),
+                          coupling=separable_tune(g, kk, grid, h=h),
+                          k_bic=kk, g_fn=g, h_fn=h)
+
+
+def _census_lines(label: str, kernel, grid, curve=None):
     """Census report lines; threshold and ambiguity outcomes are reported
     as such rather than raised, so sweeps over E can include E = 0."""
     try:
-        c = bic_census(kernel, grid, samples=samples)
+        c = bic_census(kernel, grid, curve=curve)
     except CensusIndeterminateError:
         return [f"census_{label} = indeterminate (state at the continuum threshold)"]
     except CensusAmbiguousError as exc:
@@ -123,8 +190,7 @@ def _census_lines(label: str, kernel, grid, samples: int = 64):
 
 def _cmd_seed(cfg: RunConfig, args) -> list:
     grid, v0 = _seed(cfg)
-    path = _outdir(cfg) / "seed.bk"
-    bkio.write_kernel(v0, path)
+    path = _write_files(cfg.outdir, {"seed": v0}, cfg.fmt)["seed"]
     origin = 4.0 * np.pi * cfg.lam * (cfg.b * np.sqrt(np.pi)) ** 3
     return [f"kernel_file = {path}", f"kernel_origin_fm = {format_double(origin)}"]
 
@@ -141,8 +207,7 @@ def _cmd_bound(cfg: RunConfig, args) -> list:
 def _cmd_phase(cfg: RunConfig, args) -> list:
     grid, v0 = _seed(cfg)
     curve = phase_curve(v0, grid, samples=args.samples)
-    path = _write_curve(_outdir(cfg), "phase", ("k", "delta_rad"),
-                        (curve.momenta, curve.delta), cfg.fmt)
+    path = _write_files(cfg.outdir, {"phase": _delta_curve(curve)}, cfg.fmt)["phase"]
     drop = curve.delta0 - curve.deltaInf
     return [
         f"curve_file = {path}",
@@ -155,13 +220,10 @@ def _cmd_phase(cfg: RunConfig, args) -> list:
 def _cmd_tmatrix(cfg: RunConfig, args) -> list:
     grid, v0 = _seed(cfg)
     t = half_on_shell_T_matrix(v0, grid)
-    out = _outdir(cfg)
-    re_path, im_path = out / "tmatrix_re.bk", out / "tmatrix_im.bk"
-    bkio.write_kernel(Kernel(grid=grid, values=t.real, symmetry="general"), re_path)
-    bkio.write_kernel(Kernel(grid=grid, values=t.imag, symmetry="general"), im_path)
+    paths = _write_files(cfg.outdir, _tmatrix_files(t, grid), cfg.fmt)
     return [
-        f"t_real_file = {re_path}",
-        f"t_imag_file = {im_path}",
+        f"t_real_file = {paths['tmatrix_re']}",
+        f"t_imag_file = {paths['tmatrix_im']}",
         f"t_max_abs_fm = {format_double(np.max(np.abs(t)))}",
     ]
 
@@ -170,13 +232,10 @@ def _cmd_sbdecomp(cfg: RunConfig, args) -> list:
     grid, v0 = _seed(cfg)
     kernel = v0 if args.infile is None else _load_momentum(args.infile, "sbdecomp")
     decomp = sb_decompose(kernel, grid if args.infile is None else kernel.grid)
-    out = _outdir(cfg)
-    vs_path, vb_path = out / "v_s.bk", out / "v_b.bk"
-    bkio.write_kernel(decomp.v_s, vs_path)
-    bkio.write_kernel(decomp.v_b, vb_path)
+    paths = _write_files(cfg.outdir, {"v_s": decomp.v_s, "v_b": decomp.v_b}, cfg.fmt)
     lines = [
-        f"v_s_file = {vs_path}",
-        f"v_b_file = {vb_path}",
+        f"v_s_file = {paths['v_s']}",
+        f"v_b_file = {paths['v_b']}",
         f"bound_states = {len(decomp.bound_list)}",
     ]
     for i, st in enumerate(decomp.bound_list):
@@ -195,19 +254,16 @@ def _cmd_shift(cfg: RunConfig, args) -> list:
     grid, v0 = _seed(cfg)
     phi = ground_state(v0, grid)
     energies = cfg.energies if args.energy is None else (args.energy,)
-    out = _outdir(cfg)
+    shifted = {e: energy_shift(v0, phi, e) for e in energies}
+    paths = _write_files(cfg.outdir, {f"shift_{_etag(e)}": kernel
+                                      for e, kernel in shifted.items()}, cfg.fmt)
     lines = [_energy_line("seed_E0", phi.energy, cfg)]
-    for e in energies:
+    for e, kernel in shifted.items():
         tag = _etag(e)
-        shifted = energy_shift(v0, phi, e)
-        path = out / f"shift_{tag}.bk"
-        bkio.write_kernel(shifted, path)
-        moved = BoundState(energy=e, samples=phi.samples, grid=grid,
-                           value_at=phi.value_at)
-        lines.append(f"kernel_{tag}_file = {path}")
-        residual = schrodinger_residual(shifted, moved)
+        residual = schrodinger_residual(kernel, _moved(phi, e))
+        lines.append(f"kernel_{tag}_file = {paths['shift_' + tag]}")
         lines.append(f"residual_{tag} = {format_double(residual)}")
-        lines.extend(_census_lines(tag, shifted, grid))
+        lines.extend(_census_lines(tag, kernel, grid))
     return lines
 
 
@@ -216,15 +272,11 @@ def _cmd_perturb(cfg: RunConfig, args) -> list:
     phi = ground_state(v0, grid)
     bump = gaussian_momentum_kernel(PERTURB_LAM, PERTURB_B, grid)
     perturbed = s_space_perturb(v0, phi, bump, strength=args.strength)
-    out = _outdir(cfg)
-    path = out / "perturbed.bk"
-    bkio.write_kernel(perturbed, path)
     base_curve = phase_curve(v0, grid, samples=args.samples)
     new_curve = phase_curve(perturbed, grid, samples=args.samples)
-    _write_curve(out, "phase_seed", ("k", "delta_rad"),
-                 (base_curve.momenta, base_curve.delta), cfg.fmt)
-    _write_curve(out, "phase_perturbed", ("k", "delta_rad"),
-                 (new_curve.momenta, new_curve.delta), cfg.fmt)
+    path = _write_files(cfg.outdir, {
+        "perturbed": perturbed, "phase_seed": _delta_curve(base_curve),
+        "phase_perturbed": _delta_curve(new_curve)}, cfg.fmt)["perturbed"]
     moved = negative_energy_states(perturbed, grid)
     kept = min(moved, key=lambda st: abs(st.energy - phi.energy), default=None)
     lines = [
@@ -282,41 +334,22 @@ def _cmd_extract(cfg: RunConfig, args) -> list:
 def _cmd_coord(cfg: RunConfig, args) -> list:
     grid, v0 = _seed(cfg)
     phi = ground_state(v0, grid)
-    rgrid = build_radial_grid(args.rn, args.rmax)
-    mesh = build_uniform_radial_grid(args.mesh, args.rmax)
-    phi_mesh = wavefunction_to_coordinate(phi, mesh)
-    out = _outdir(cfg)
-    wf_path = _write_curve(out, "phi_r", ("r", "phi"),
-                           (mesh.nodes, phi_mesh), cfg.fmt)
-    lines = [f"wavefunction_file = {wf_path}"]
-    for e in cfg.energies:
-        tag = _etag(e)
-        moved = BoundState(energy=e, samples=phi.samples, grid=grid,
-                           value_at=phi.value_at)
-        vb = build_v_b([moved], grid)
-        ck = momentum_to_coordinate(vb, rgrid)
-        path = out / f"vb_coord_{tag}.bk"
-        bkio.write_kernel(ck, path)
-        node = vb_profile_node(phi_mesh, mesh.nodes, e)
-        lines.append(f"kernel_{tag}_file = {path}")
-        if node is None:
-            lines.append(f"node_{tag}_fm = none")
-        else:
-            lines.append(f"node_{tag}_fm = {format_double(node)}")
+    phi_r, parts = _bound_parts(phi, cfg.energies, args.rn, args.rmax, args.mesh)
+    files = {"phi_r": phi_r}
+    files.update({f"vb_coord_{tag}": ck for tag, (_, ck, _) in parts.items()})
+    paths = _write_files(cfg.outdir, files, cfg.fmt)
+    lines = [f"wavefunction_file = {paths['phi_r']}"]
+    for tag, (_, _, node_line) in parts.items():
+        lines += [f"kernel_{tag}_file = {paths['vb_coord_' + tag]}", node_line]
     return lines
 
 
 def _cmd_vnw(cfg: RunConfig, args) -> list:
-    rgrid = build_radial_grid(400, 60.0 / args.k)
-    model = vnw_build(args.k, args.shape, rgrid)
-    r = np.linspace(60.0 / args.k / 2000.0, 40.0 / args.k, 2000)
-    out = _outdir(cfg)
-    v_path = _write_curve(out, "vnw_v", ("r", "v"), (r, model.v(r)), cfg.fmt)
-    phi_path = _write_curve(out, "vnw_phi", ("r", "phi"),
-                            (r, model.phi(r)), cfg.fmt)
+    model, curves = _vnw(args.k, args.shape)
+    paths = _write_files(cfg.outdir, curves, cfg.fmt)
     return [
-        f"v_file = {v_path}",
-        f"phi_file = {phi_path}",
+        f"v_file = {paths['vnw_v']}",
+        f"phi_file = {paths['vnw_phi']}",
         _energy_line("E", args.k ** 2, cfg),
         f"residual = {format_double(vnw_verify(model))}",
         f"phi_norm = {format_double(model.norm())}",
@@ -325,28 +358,16 @@ def _cmd_vnw(cfg: RunConfig, args) -> list:
 
 def _cmd_separable(cfg: RunConfig, args) -> list:
     grid, _ = _seed(cfg)
-    kk = args.K
-
-    def h(p):
-        return np.exp(-np.asarray(p) ** 2)
-
-    def g(p):
-        p = np.asarray(p)
-        return (kk * kk - p * p) * np.exp(-p * p)
-
-    lam_c = separable_tune(g, kk, grid, h=h)
-    model = SeparableModel(grid=grid, g_samples=g(grid.nodes), coupling=lam_c,
-                           k_bic=kk, g_fn=g, h_fn=h)
+    model = _separable(args.K, grid)
     state = separable_bic(model)
     kernel = model.kernel()
-    out = _outdir(cfg)
-    phi_path = _write_curve(out, "separable_phi", ("k", "phi"),
-                            (grid.nodes, state.samples), cfg.fmt)
+    path = _write_files(cfg.outdir, {"separable_phi": (
+        ("k", "phi"), (grid.nodes, state.samples))}, cfg.fmt)["separable_phi"]
     lines = [
-        f"coupling_critical = {format_double(lam_c)}",
+        f"coupling_critical = {format_double(model.coupling)}",
         _energy_line("Ksq", state.energy, cfg),
         f"residual = {format_double(schrodinger_residual(kernel, state))}",
-        f"phi_file = {phi_path}",
+        f"phi_file = {path}",
     ]
     lines.extend(_census_lines("separable", kernel, grid))
     return lines
@@ -364,109 +385,64 @@ def _cmd_verify_ab(cfg: RunConfig, args) -> list:
 
 
 def _cmd_reproduce(cfg: RunConfig, args) -> list:
-    out = _outdir(cfg)
+    # every product is computed before the first file is written, so a
+    # failing stage leaves no partial tree behind
     grid, v0 = _seed(cfg)
     phi = ground_state(v0, grid)
-    summary = [_energy_line("seed_E0", phi.energy, cfg)]
-
-    wf_dir = out / "wavefunction"
-    wf_dir.mkdir(exist_ok=True)
-    mesh = build_uniform_radial_grid(1500, 12.0)
-    phi_mesh = wavefunction_to_coordinate(phi, mesh)
-    _write_curve(wf_dir, "phi_r", ("r", "phi"), (mesh.nodes, phi_mesh), cfg.fmt)
-    _write_curve(wf_dir, "v0_r", ("r", "v"),
-                 (mesh.nodes, cfg.lam * np.exp(-(mesh.nodes / cfg.b) ** 2)), cfg.fmt)
-
-    ph_dir = out / "phase-shifts"
-    ph_dir.mkdir(exist_ok=True)
+    shifted = {_etag(e): energy_shift(v0, phi, e) for e in cfg.energies}
     seed_curve = phase_curve(v0, grid, samples=48)
-    _write_curve(ph_dir, "delta_seed", ("k", "delta_rad"),
-                 (seed_curve.momenta, seed_curve.delta), cfg.fmt)
-    summary.append(f"seed_delta0_rad = {format_double(seed_curve.delta0)}")
-    summary.append(f"seed_deltaInf_rad = {format_double(seed_curve.deltaInf)}")
-
-    tm_dir = out / "t-matrix"
-    tm_dir.mkdir(exist_ok=True)
-    t = half_on_shell_T_matrix(v0, grid)
-    bkio.write_kernel(Kernel(grid=grid, values=t.real, symmetry="general"),
-                      tm_dir / "tmatrix_re.bk")
-    bkio.write_kernel(Kernel(grid=grid, values=t.imag, symmetry="general"),
-                      tm_dir / "tmatrix_im.bk")
-
-    vb_dir = out / "bound-part"
-    vb_dir.mkdir(exist_ok=True)
-    co_dir = out / "coordinate"
-    co_dir.mkdir(exist_ok=True)
-    rgrid = build_radial_grid(160, 12.0)
-    node_lines = []
-    for e in cfg.energies:
-        tag = _etag(e)
-        shifted = energy_shift(v0, phi, e)
-        moved = BoundState(energy=e, samples=phi.samples, grid=grid,
-                           value_at=phi.value_at)
-        vb = build_v_b([moved], grid)
-        bkio.write_kernel(vb, vb_dir / f"vb_{tag}.bk")
-        bkio.write_kernel(momentum_to_coordinate(vb, rgrid),
-                          co_dir / f"vb_coord_{tag}.bk")
-        curve = phase_curve(shifted, grid, samples=48)
-        _write_curve(ph_dir, f"delta_{tag}", ("k", "delta_rad"),
-                     (curve.momenta, curve.delta), cfg.fmt)
-        sig = detect_bic_signature(vb)
-        node = vb_profile_node(phi_mesh, mesh.nodes, e)
-        node_lines.append(f"node_{tag}_fm = "
-                          + ("none" if node is None else format_double(node)))
-        summary.append(f"signature_{tag} = origin {sig.origin_sign:+d}, "
-                       f"{len(sig.node_momenta)} momentum nodes")
-    (co_dir / "nodes.txt").write_text("\n".join(node_lines) + "\n")
-
-    sb_dir = out / "sbdecomp"
-    sb_dir.mkdir(exist_ok=True)
+    curves = {tag: phase_curve(kernel, grid, samples=48)
+              for tag, kernel in shifted.items()}
+    phi_r, parts = _bound_parts(phi, cfg.energies, 160, 12.0, 1500)
     decomp = sb_decompose(v0, grid)
-    bkio.write_kernel(decomp.v_s, sb_dir / "v_s.bk")
-    bkio.write_kernel(decomp.v_b, sb_dir / "v_b.bk")
-
-    pe_dir = out / "perturbed"
-    pe_dir.mkdir(exist_ok=True)
     bump = gaussian_momentum_kernel(PERTURB_LAM, PERTURB_B, grid)
     perturbed = s_space_perturb(v0, phi, bump)
-    bkio.write_kernel(perturbed, pe_dir / "perturbed.bk")
     new_curve = phase_curve(perturbed, grid, samples=48)
-    _write_curve(pe_dir, "delta_perturbed", ("k", "delta_rad"),
-                 (new_curve.momenta, new_curve.delta), cfg.fmt)
-    summary.append(f"perturb_phi_residual = "
-                   f"{format_double(schrodinger_residual(perturbed, phi))}")
-    summary.append(f"perturb_max_delta_change_rad = "
-                   f"{format_double(np.max(np.abs(new_curve.delta - seed_curve.delta)))}")
+    vnw_model, vnw_curves = _vnw(1.0, 10.0)
 
-    ce_dir = out / "census"
-    ce_dir.mkdir(exist_ok=True)
-    census_lines = _census_lines("seed", v0, grid, samples=48)
-    for e in cfg.energies:
-        shifted = energy_shift(v0, phi, e)
-        census_lines.extend(_census_lines(_etag(e), shifted, grid, samples=48))
-    (ce_dir / "census.txt").write_text("\n".join(census_lines) + "\n")
+    census = _census_lines("seed", v0, grid, curve=seed_curve)
+    for tag, kernel in shifted.items():
+        census += _census_lines(tag, kernel, grid, curve=curves[tag])
+    summary = [
+        _energy_line("seed_E0", phi.energy, cfg),
+        f"seed_delta0_rad = {format_double(seed_curve.delta0)}",
+        f"seed_deltaInf_rad = {format_double(seed_curve.deltaInf)}",
+    ]
+    for tag, (vb, _, _) in parts.items():
+        sig = detect_bic_signature(vb)
+        summary.append(f"signature_{tag} = origin {sig.origin_sign:+d}, "
+                       f"{len(sig.node_momenta)} momentum nodes")
+    change = np.max(np.abs(new_curve.delta - seed_curve.delta))
+    summary += [
+        f"perturb_phi_residual = "
+        f"{format_double(schrodinger_residual(perturbed, phi))}",
+        f"perturb_max_delta_change_rad = {format_double(change)}",
+        f"vnw_residual = {format_double(vnw_verify(vnw_model))}",
+        f"separable_coupling = {format_double(_separable(1.0, grid).coupling)}",
+    ]
 
-    bm_dir = out / "benchmark"
-    bm_dir.mkdir(exist_ok=True)
-    vnw_grid = build_radial_grid(400, 60.0)
-    vnw_model = vnw_build(1.0, 10.0, vnw_grid)
-    rr = np.linspace(0.03, 40.0, 2000)
-    _write_curve(bm_dir, "vnw_v", ("r", "v"), (rr, vnw_model.v(rr)), cfg.fmt)
-    _write_curve(bm_dir, "vnw_phi", ("r", "phi"), (rr, vnw_model.phi(rr)), cfg.fmt)
-    summary.append(f"vnw_residual = {format_double(vnw_verify(vnw_model))}")
-
-    def sep_h(p):
-        return np.exp(-np.asarray(p) ** 2)
-
-    def sep_g(p):
-        p = np.asarray(p)
-        return (1.0 - p * p) * np.exp(-p * p)
-
-    lam_c = separable_tune(sep_g, 1.0, grid, h=sep_h)
-    summary.append(f"separable_coupling = {format_double(lam_c)}")
-
-    (out / "summary.txt").write_text("\n".join(summary) + "\n")
-    return [f"output_tree = {out}", f"summary_file = {out / 'summary.txt'}"]
+    r = phi_r[1][0]
+    tree = {
+        "wavefunction": {"phi_r": phi_r,
+                         "v0_r": (("r", "v"), (r, cfg.lam * np.exp(-(r / cfg.b) ** 2)))},
+        "phase-shifts": {"delta_seed": _delta_curve(seed_curve),
+                         **{f"delta_{tag}": _delta_curve(curve)
+                            for tag, curve in curves.items()}},
+        "t-matrix": _tmatrix_files(half_on_shell_T_matrix(v0, grid), grid),
+        "bound-part": {f"vb_{tag}": vb for tag, (vb, _, _) in parts.items()},
+        "coordinate": {**{f"vb_coord_{tag}": ck for tag, (_, ck, _) in parts.items()},
+                       "nodes": [line for _, _, line in parts.values()]},
+        "sbdecomp": {"v_s": decomp.v_s, "v_b": decomp.v_b},
+        "perturbed": {"perturbed": perturbed,
+                      "delta_perturbed": _delta_curve(new_curve)},
+        "census": {"census": census},
+        "benchmark": vnw_curves,
+        "": {"summary": summary},
+    }
+    for sub, files in tree.items():
+        _write_files(cfg.outdir / sub, files, cfg.fmt)
+    return [f"output_tree = {cfg.outdir}",
+            f"summary_file = {cfg.outdir / 'summary.txt'}"]
 
 
 _HANDLERS = {

@@ -56,8 +56,13 @@ def count_states(curve: PhaseShiftCurve):
     return count, residual
 
 
-def bic_census(V: Kernel, grid: MomentumGrid, samples: int = 64) -> BicCensus:
+def bic_census(V: Kernel, grid: MomentumGrid, samples: int = 64,
+               curve: PhaseShiftCurve | None = None) -> BicCensus:
     """Count total, negative-energy, and embedded states of a kernel.
+
+    The phase drop is read from `curve` when one is given (it must be
+    V's own curve; samples is then unused), otherwise from a fresh
+    `phase_curve(V, grid, samples)`.
 
     An eigenvalue indistinguishable from zero (below a tenth of the
     smallest grid k^2) sits exactly at threshold, where neither the
@@ -75,7 +80,8 @@ def bic_census(V: Kernel, grid: MomentumGrid, samples: int = 64) -> BicCensus:
         )
     n_minus = int(np.sum(evals < 0.0))
 
-    curve = phase_curve(V, grid, samples=samples)
+    if curve is None:
+        curve = phase_curve(V, grid, samples=samples)
     n_total, _ = count_states(curve)
     n_plus = n_total - n_minus
     if n_plus < 0:

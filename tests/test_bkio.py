@@ -2,12 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bicforge import (
     ConsistencyError,
     ContractError,
     CoordinateKernel,
     Kernel,
+    build_momentum_grid,
     build_uniform_radial_grid,
     momentum_to_coordinate,
     read_kernel,
@@ -127,3 +131,40 @@ def test_malformed_body_is_a_contract_error(tmp_path, v0, corrupt, message):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ContractError, match=message):
         read_kernel(path)
+
+
+# signed zeros, the smallest and largest subnormals, the smallest normal and
+# the largest finite doubles, drawn alongside arbitrary finite doubles
+EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, -1e-310,
+            2.2250738585072014e-308, 1e-307, -1.7976931348623157e308,
+            1.7976931348623157e308, 9.99e307, -1e308)
+DOUBLES = st.sampled_from(EXTREMES) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _kernel(kind, values, r_max):
+    n = values.shape[0]
+    if kind == "coordinate":
+        return CoordinateKernel(grid=build_uniform_radial_grid(n, r_max), values=values)
+    if kind == "symmetric":
+        # mirror the upper triangle: v + v.T would overflow near 1e308 and
+        # turn -0.0 into 0.0
+        values = np.where(np.tri(n, dtype=bool), values.T, values)
+    return Kernel(grid=build_momentum_grid(n), values=values, symmetry=kind)
+
+
+@given(kind=st.sampled_from(["symmetric", "general", "coordinate"]),
+       values=st.integers(8, 10).flatmap(
+           lambda n: arrays(np.float64, (n, n), elements=DOUBLES)),
+       r_max=st.floats(0.5, 50.0))
+def test_any_finite_kernel_round_trips_bit_for_bit(tmp_path_factory, kind,
+                                                   values, r_max):
+    kernel = _kernel(kind, values, r_max)
+    path = tmp_path_factory.mktemp("bk") / "k.bk"
+    write_kernel(kernel, path)
+    back = read_kernel(path)
+    assert type(back) is type(kernel)
+    assert back.values.tobytes() == kernel.values.tobytes()
+    assert back.grid.nodes.tobytes() == kernel.grid.nodes.tobytes()
+    assert back.grid.weights.tobytes() == kernel.grid.weights.tobytes()
+    if kind != "coordinate":
+        assert back.symmetry == kind

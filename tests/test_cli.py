@@ -126,6 +126,47 @@ def test_vnw_benchmark_solves_its_own_potential(capsys, tmp_path):
     assert (tmp_path / "vnw_v.csv").is_file()
 
 
+def test_vnw_rejects_a_non_positive_momentum(capsys, tmp_path):
+    assert main(["--out", str(tmp_path), "vnw", "--k", "0"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_failing_reproduce_writes_nothing(capsys, tmp_path):
+    # at n = 16 the seed's V_S + V_B split fails after most stages succeed
+    out = tmp_path / "tree"
+    assert main(["--out", str(out), "--n", "16", "reproduce-paper"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_reproduce_tree_is_built_from_the_subcommands(capsys, tmp_path):
+    text = ["--format", "structured-text"]
+    assert main(["--out", str(tmp_path / "tree"), *text, "reproduce-paper"]) == 0
+    for command in ("tmatrix", "sbdecomp", "vnw", "coord"):
+        assert main(["--out", str(tmp_path / command), *text, command]) == 0
+    tree = _tree(tmp_path / "tree")
+    shared = {"t-matrix": ("tmatrix", "tmatrix_*.bk"),
+              "sbdecomp": ("sbdecomp", "v_*.bk"),
+              "benchmark": ("vnw", "vnw_*.txt"),
+              "coordinate": ("coord", "vb_coord_*.bk")}
+    for sub, (command, pattern) in shared.items():
+        files = sorted((tmp_path / command).glob(pattern))
+        assert len(files) == (5 if command == "coord" else 2)
+        for path in files:
+            assert tree[f"{sub}/{path.name}"] == path.read_bytes(), path.name
+    reports = {"summary.txt", "census/census.txt", "coordinate/nodes.txt"}
+    assert not [name for name in tree if name.endswith(".csv")]
+    curves = [name for name in tree if name.endswith(".txt") and name not in reports]
+    assert len(curves) == 11
+    for name in curves:
+        assert tree[name].startswith(b"# "), name
+
+
 def test_console_script_prints_usage():
     exe = shutil.which("bic-forge")
     assert exe is not None

@@ -12,6 +12,7 @@ from bicforge import (
     count_states,
     energy_shift,
     gaussian_momentum_kernel,
+    phase_curve,
 )
 from conftest import SEED_B
 
@@ -53,6 +54,20 @@ def test_embedded_state_counted_from_the_phase(grid, v0, phi0):
     census = bic_census(shifted, grid)
     assert (census.n_total, census.n_minus, census.n_plus) == (1, 0, 1)
     assert census.delta0 == pytest.approx(SEED_DELTA0, abs=1e-6)
+
+
+@pytest.mark.parametrize("energy", [None, 4.0], ids=["seed", "shift+4"])
+def test_census_reads_a_given_curve(grid, v0, phi0, energy):
+    kernel = v0 if energy is None else energy_shift(v0, phi0, energy)
+    curve = phase_curve(kernel, grid, samples=48)
+    assert bic_census(kernel, grid, 48, curve=curve) == bic_census(kernel, grid, 48)
+
+
+def test_census_uses_the_given_curve(grid, v0):
+    # a curve dropping by 2 pi counts two states where the seed's own counts one
+    census = bic_census(v0, grid, curve=_synthetic_curve(2.0 * np.pi))
+    assert (census.n_total, census.n_minus, census.n_plus) == (2, 1, 1)
+    assert bic_census(v0, grid).n_total == 1
 
 
 def test_deep_well_census(grid):
