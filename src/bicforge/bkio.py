@@ -41,8 +41,6 @@ def write_kernel(kernel, path) -> None:
         lines.append("#space coordinate")
         lines.append("#symmetry general")
     elif isinstance(kernel, Kernel):
-        if kernel.space != "momentum":
-            raise ContractError("Kernel instances in files must be momentum-space")
         lines.append(f"#grid {grid.n} {format_double(grid.map_scale)} "
                      f"{format_double(grid.cutoff)}")
         lines.append("#space momentum")
@@ -121,5 +119,4 @@ def read_kernel(path):
             "stored nodes disagree with the rebuilt grid; "
             "the file used a different grid construction"
         )
-    return Kernel(grid=grid, values=values, symmetry=header["symmetry"],
-                  space="momentum")
+    return Kernel(grid=grid, values=values, symmetry=header["symmetry"])

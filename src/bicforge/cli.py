@@ -1,8 +1,8 @@
 """Command-line interface: every standard numerical artifact as data files.
 
-Each subcommand drives the library with a validated RunConfig and writes
+Each subcommand drives the library with the parsed arguments and writes
 deterministic outputs: kernel files (.bk), curve files (CSV or aligned
-text), and `name = value` summary lines on stdout.  Identical configs
+text), and `name = value` summary lines on stdout.  Identical arguments
 produce byte-identical files; nothing in the output depends on time,
 environment, or iteration order.  `reproduce-paper` computes every
 product before it writes the first file, so a failing stage leaves no
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -46,40 +45,13 @@ PERTURB_LAM = -10.0
 PERTURB_B = 1.0
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters shared by all subcommands.
-
-    Defaults are the standard setup: Gaussian seed lam = -30 fm^-2,
-    b = 0.5 fm on a 128-node grid with cutoff 40 fm^-1, and the energy
-    sweep {-4, -1, 0, +1, +4} fm^-2.
-    """
-
-    command: str
-    n: int = 128
-    map_scale: float = 2.0
-    cutoff: float = 40.0
-    lam: float = -30.0
-    b: float = 0.5
-    energies: tuple = DEFAULT_ENERGIES
-    outdir: Path = Path(".")
-    fmt: str = "csv"
-    mev: bool = False
-
-    def __post_init__(self):
-        if self.fmt not in ("csv", "structured-text"):
-            raise ConfigurationError(f"unknown output format {self.fmt!r}")
-        if not self.energies:
-            raise ConfigurationError("need at least one target energy")
-
-
 def _etag(e: float) -> str:
     return f"E{e:+.1f}"
 
 
-def _energy_line(name: str, value: float, cfg: RunConfig) -> str:
+def _energy_line(name: str, value: float, args) -> str:
     line = f"{name}_fm2 = {format_double(value)}"
-    if cfg.mev:
+    if args.mev:
         line += f"\n{name}_MeV = {format_double(value * MEV_PER_FM2)}"
     return line
 
@@ -115,9 +87,9 @@ def _delta_curve(curve) -> tuple:
     return ("k", "delta_rad"), (curve.momenta, curve.delta)
 
 
-def _seed(cfg: RunConfig):
-    grid = build_momentum_grid(cfg.n, cfg.map_scale, cfg.cutoff)
-    return grid, gaussian_momentum_kernel(cfg.lam, cfg.b, grid)
+def _seed(args):
+    grid = build_momentum_grid(args.n, args.map_scale, args.cutoff)
+    return grid, gaussian_momentum_kernel(args.lam, args.b, grid)
 
 
 def _moved(phi: BoundState, e: float) -> BoundState:
@@ -188,26 +160,26 @@ def _census_lines(label: str, kernel, grid, curve=None):
     ]
 
 
-def _cmd_seed(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
-    path = _write_files(cfg.outdir, {"seed": v0}, cfg.fmt)["seed"]
-    origin = 4.0 * np.pi * cfg.lam * (cfg.b * np.sqrt(np.pi)) ** 3
+def _cmd_seed(args) -> list:
+    grid, v0 = _seed(args)
+    path = _write_files(args.out, {"seed": v0}, args.format)["seed"]
+    origin = 4.0 * np.pi * args.lam * (args.b * np.sqrt(np.pi)) ** 3
     return [f"kernel_file = {path}", f"kernel_origin_fm = {format_double(origin)}"]
 
 
-def _cmd_bound(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_bound(args) -> list:
+    grid, v0 = _seed(args)
     states = negative_energy_states(v0, grid)
     lines = [f"bound_states = {len(states)}"]
     for i, st in enumerate(states):
-        lines.append(_energy_line(f"state_{i}", st.energy, cfg))
+        lines.append(_energy_line(f"state_{i}", st.energy, args))
     return lines
 
 
-def _cmd_phase(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_phase(args) -> list:
+    grid, v0 = _seed(args)
     curve = phase_curve(v0, grid, samples=args.samples)
-    path = _write_files(cfg.outdir, {"phase": _delta_curve(curve)}, cfg.fmt)["phase"]
+    path = _write_files(args.out, {"phase": _delta_curve(curve)}, args.format)["phase"]
     drop = curve.delta0 - curve.deltaInf
     return [
         f"curve_file = {path}",
@@ -217,10 +189,10 @@ def _cmd_phase(cfg: RunConfig, args) -> list:
     ]
 
 
-def _cmd_tmatrix(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_tmatrix(args) -> list:
+    grid, v0 = _seed(args)
     t = half_on_shell_T_matrix(v0, grid)
-    paths = _write_files(cfg.outdir, _tmatrix_files(t, grid), cfg.fmt)
+    paths = _write_files(args.out, _tmatrix_files(t, grid), args.format)
     return [
         f"t_real_file = {paths['tmatrix_re']}",
         f"t_imag_file = {paths['tmatrix_im']}",
@@ -228,18 +200,18 @@ def _cmd_tmatrix(cfg: RunConfig, args) -> list:
     ]
 
 
-def _cmd_sbdecomp(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_sbdecomp(args) -> list:
+    grid, v0 = _seed(args)
     kernel = v0 if args.infile is None else _load_momentum(args.infile, "sbdecomp")
     decomp = sb_decompose(kernel, grid if args.infile is None else kernel.grid)
-    paths = _write_files(cfg.outdir, {"v_s": decomp.v_s, "v_b": decomp.v_b}, cfg.fmt)
+    paths = _write_files(args.out, {"v_s": decomp.v_s, "v_b": decomp.v_b}, args.format)
     lines = [
         f"v_s_file = {paths['v_s']}",
         f"v_b_file = {paths['v_b']}",
         f"bound_states = {len(decomp.bound_list)}",
     ]
     for i, st in enumerate(decomp.bound_list):
-        lines.append(_energy_line(f"state_{i}", st.energy, cfg))
+        lines.append(_energy_line(f"state_{i}", st.energy, args))
     return lines
 
 
@@ -250,14 +222,14 @@ def _load_momentum(path, where: str) -> Kernel:
     return kernel
 
 
-def _cmd_shift(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_shift(args) -> list:
+    grid, v0 = _seed(args)
     phi = ground_state(v0, grid)
-    energies = cfg.energies if args.energy is None else (args.energy,)
+    energies = DEFAULT_ENERGIES if args.energy is None else (args.energy,)
     shifted = {e: energy_shift(v0, phi, e) for e in energies}
-    paths = _write_files(cfg.outdir, {f"shift_{_etag(e)}": kernel
-                                      for e, kernel in shifted.items()}, cfg.fmt)
-    lines = [_energy_line("seed_E0", phi.energy, cfg)]
+    paths = _write_files(args.out, {f"shift_{_etag(e)}": kernel
+                                    for e, kernel in shifted.items()}, args.format)
+    lines = [_energy_line("seed_E0", phi.energy, args)]
     for e, kernel in shifted.items():
         tag = _etag(e)
         residual = schrodinger_residual(kernel, _moved(phi, e))
@@ -267,16 +239,16 @@ def _cmd_shift(cfg: RunConfig, args) -> list:
     return lines
 
 
-def _cmd_perturb(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_perturb(args) -> list:
+    grid, v0 = _seed(args)
     phi = ground_state(v0, grid)
     bump = gaussian_momentum_kernel(PERTURB_LAM, PERTURB_B, grid)
     perturbed = s_space_perturb(v0, phi, bump, strength=args.strength)
     base_curve = phase_curve(v0, grid, samples=args.samples)
     new_curve = phase_curve(perturbed, grid, samples=args.samples)
-    path = _write_files(cfg.outdir, {
+    path = _write_files(args.out, {
         "perturbed": perturbed, "phase_seed": _delta_curve(base_curve),
-        "phase_perturbed": _delta_curve(new_curve)}, cfg.fmt)["perturbed"]
+        "phase_perturbed": _delta_curve(new_curve)}, args.format)["perturbed"]
     moved = negative_energy_states(perturbed, grid)
     kept = min(moved, key=lambda st: abs(st.energy - phi.energy), default=None)
     lines = [
@@ -287,13 +259,13 @@ def _cmd_perturb(cfg: RunConfig, args) -> list:
         f"{format_double(np.max(np.abs(new_curve.delta - base_curve.delta)))}",
     ]
     if kept is not None:
-        lines.append(_energy_line("kept_state", kept.energy, cfg))
+        lines.append(_energy_line("kept_state", kept.energy, args))
     return lines
 
 
-def _cmd_census(cfg: RunConfig, args) -> list:
+def _cmd_census(args) -> list:
     if args.infile is None:
-        grid, kernel = _seed(cfg)
+        grid, kernel = _seed(args)
         label = "seed"
     else:
         kernel = _load_momentum(args.infile, "census")
@@ -307,9 +279,9 @@ def _cmd_census(cfg: RunConfig, args) -> list:
     ]
 
 
-def _cmd_extract(cfg: RunConfig, args) -> list:
+def _cmd_extract(args) -> list:
     if args.infile is None:
-        grid, v0 = _seed(cfg)
+        grid, v0 = _seed(args)
         phi = ground_state(v0, grid)
         kernel = energy_shift(v0, phi, args.energy)
     else:
@@ -327,45 +299,45 @@ def _cmd_extract(cfg: RunConfig, args) -> list:
         ratio = svals[min(len(pairs), len(svals) - 1)] / svals[0]
         lines.append(f"factorization_ratio = {format_double(ratio)}")
     for i, (st, k_sq) in enumerate(pairs):
-        lines.append(_energy_line(f"bic_{i}_Ksq", k_sq, cfg))
+        lines.append(_energy_line(f"bic_{i}_Ksq", k_sq, args))
     return lines
 
 
-def _cmd_coord(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_coord(args) -> list:
+    grid, v0 = _seed(args)
     phi = ground_state(v0, grid)
-    phi_r, parts = _bound_parts(phi, cfg.energies, args.rn, args.rmax, args.mesh)
+    phi_r, parts = _bound_parts(phi, DEFAULT_ENERGIES, args.rn, args.rmax, args.mesh)
     files = {"phi_r": phi_r}
     files.update({f"vb_coord_{tag}": ck for tag, (_, ck, _) in parts.items()})
-    paths = _write_files(cfg.outdir, files, cfg.fmt)
+    paths = _write_files(args.out, files, args.format)
     lines = [f"wavefunction_file = {paths['phi_r']}"]
     for tag, (_, _, node_line) in parts.items():
         lines += [f"kernel_{tag}_file = {paths['vb_coord_' + tag]}", node_line]
     return lines
 
 
-def _cmd_vnw(cfg: RunConfig, args) -> list:
+def _cmd_vnw(args) -> list:
     model, curves = _vnw(args.k, args.shape)
-    paths = _write_files(cfg.outdir, curves, cfg.fmt)
+    paths = _write_files(args.out, curves, args.format)
     return [
         f"v_file = {paths['vnw_v']}",
         f"phi_file = {paths['vnw_phi']}",
-        _energy_line("E", args.k ** 2, cfg),
+        _energy_line("E", args.k ** 2, args),
         f"residual = {format_double(vnw_verify(model))}",
         f"phi_norm = {format_double(model.norm())}",
     ]
 
 
-def _cmd_separable(cfg: RunConfig, args) -> list:
-    grid, _ = _seed(cfg)
+def _cmd_separable(args) -> list:
+    grid, _ = _seed(args)
     model = _separable(args.K, grid)
     state = separable_bic(model)
     kernel = model.kernel()
-    path = _write_files(cfg.outdir, {"separable_phi": (
-        ("k", "phi"), (grid.nodes, state.samples))}, cfg.fmt)["separable_phi"]
+    path = _write_files(args.out, {"separable_phi": (
+        ("k", "phi"), (grid.nodes, state.samples))}, args.format)["separable_phi"]
     lines = [
         f"coupling_critical = {format_double(model.coupling)}",
-        _energy_line("Ksq", state.energy, cfg),
+        _energy_line("Ksq", state.energy, args),
         f"residual = {format_double(schrodinger_residual(kernel, state))}",
         f"phi_file = {path}",
     ]
@@ -373,8 +345,8 @@ def _cmd_separable(cfg: RunConfig, args) -> list:
     return lines
 
 
-def _cmd_verify_ab(cfg: RunConfig, args) -> list:
-    grid, v0 = _seed(cfg)
+def _cmd_verify_ab(args) -> list:
+    grid, v0 = _seed(args)
     states = negative_energy_states(v0, grid)
     t = half_on_shell_T_matrix(v0, grid)
     res_a, res_b = verify_conditions_AB(t, states, grid)
@@ -384,16 +356,16 @@ def _cmd_verify_ab(cfg: RunConfig, args) -> list:
     ]
 
 
-def _cmd_reproduce(cfg: RunConfig, args) -> list:
+def _cmd_reproduce(args) -> list:
     # every product is computed before the first file is written, so a
     # failing stage leaves no partial tree behind
-    grid, v0 = _seed(cfg)
+    grid, v0 = _seed(args)
     phi = ground_state(v0, grid)
-    shifted = {_etag(e): energy_shift(v0, phi, e) for e in cfg.energies}
+    shifted = {_etag(e): energy_shift(v0, phi, e) for e in DEFAULT_ENERGIES}
     seed_curve = phase_curve(v0, grid, samples=48)
     curves = {tag: phase_curve(kernel, grid, samples=48)
               for tag, kernel in shifted.items()}
-    phi_r, parts = _bound_parts(phi, cfg.energies, 160, 12.0, 1500)
+    phi_r, parts = _bound_parts(phi, DEFAULT_ENERGIES, 160, 12.0, 1500)
     decomp = sb_decompose(v0, grid)
     bump = gaussian_momentum_kernel(PERTURB_LAM, PERTURB_B, grid)
     perturbed = s_space_perturb(v0, phi, bump)
@@ -404,7 +376,7 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
     for tag, kernel in shifted.items():
         census += _census_lines(tag, kernel, grid, curve=curves[tag])
     summary = [
-        _energy_line("seed_E0", phi.energy, cfg),
+        _energy_line("seed_E0", phi.energy, args),
         f"seed_delta0_rad = {format_double(seed_curve.delta0)}",
         f"seed_deltaInf_rad = {format_double(seed_curve.deltaInf)}",
     ]
@@ -424,7 +396,7 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
     r = phi_r[1][0]
     tree = {
         "wavefunction": {"phi_r": phi_r,
-                         "v0_r": (("r", "v"), (r, cfg.lam * np.exp(-(r / cfg.b) ** 2)))},
+                         "v0_r": (("r", "v"), (r, args.lam * np.exp(-(r / args.b) ** 2)))},
         "phase-shifts": {"delta_seed": _delta_curve(seed_curve),
                          **{f"delta_{tag}": _delta_curve(curve)
                             for tag, curve in curves.items()}},
@@ -440,9 +412,9 @@ def _cmd_reproduce(cfg: RunConfig, args) -> list:
         "": {"summary": summary},
     }
     for sub, files in tree.items():
-        _write_files(cfg.outdir / sub, files, cfg.fmt)
-    return [f"output_tree = {cfg.outdir}",
-            f"summary_file = {cfg.outdir / 'summary.txt'}"]
+        _write_files(args.out / sub, files, args.format)
+    return [f"output_tree = {args.out}",
+            f"summary_file = {args.out / 'summary.txt'}"]
 
 
 _HANDLERS = {
@@ -544,27 +516,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    if args.out is not None:
-        outdir = Path(args.out)
-    elif os.environ.get(OUTDIR_ENV):
-        outdir = Path(os.environ[OUTDIR_ENV])
-    else:
-        outdir = Path(".")
-    return RunConfig(command=args.command, n=args.n, map_scale=args.map_scale,
-                     cutoff=args.cutoff, lam=args.lam, b=args.b,
-                     outdir=outdir, fmt=args.format, mev=args.mev)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
+    args.out = Path(args.out if args.out is not None
+                    else os.environ.get(OUTDIR_ENV) or ".")
     try:
-        cfg = _config_from_args(args)
-        for line in _HANDLERS[cfg.command](cfg, args):
+        for line in _HANDLERS[args.command](args):
             print(line)
     except (BicForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -112,7 +112,7 @@ def momentum_to_coordinate(V: Kernel, rgrid: RadialGrid) -> CoordinateKernel:
     CoordinateKernel
         V(r', r) on the radial grid, no local part.
     """
-    if V.space != "momentum":
+    if not isinstance(V, Kernel):
         raise ContractError("input kernel must live in momentum space")
     fine, b = _fine_resample(V.n, V.grid.map_scale, V.grid.cutoff)
     vf = b @ V.values @ b.T
@@ -132,8 +132,7 @@ def coordinate_to_momentum(ck: CoordinateKernel, kgrid: MomentumGrid) -> Kernel:
     r = ck.grid.nodes
     j = 4.0 * np.pi * (ck.grid.measure[:, None]
                        * np.sinc(np.multiply.outer(r, kgrid.nodes) / np.pi))
-    return Kernel(grid=kgrid, values=j.T @ ck.values @ j,
-                  symmetry="general", space="momentum")
+    return Kernel(grid=kgrid, values=j.T @ ck.values @ j, symmetry="general")
 
 
 def wavefunction_to_coordinate(phi: BoundState, rgrid: RadialGrid) -> np.ndarray:

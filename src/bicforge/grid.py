@@ -145,6 +145,8 @@ class RadialGrid:
             raise ShapeError("nodes and weights must be matching 1-d arrays")
         if not (np.all(np.diff(r) > 0) and r[0] > 0 and r[-1] < self.r_max):
             raise ConfigurationError("nodes must increase strictly inside (0, r_max)")
+        if not np.all(w > 0):
+            raise ConfigurationError("weights must be positive")
         object.__setattr__(self, "measure", _readonly(w * r * r))
 
     @property

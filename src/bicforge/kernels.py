@@ -1,11 +1,12 @@
 """Momentum-space potential kernels <k'|V|k> and their constructors.
 
-A kernel is a dense matrix of samples on a quadrature grid plus a little
-metadata: which space it lives in, whether it is symmetric, and (when the
-defining formula is known in closed form) a row evaluator that returns
-<q|V|k_i> at arbitrary off-grid momentum q.  The evaluator is what lets
-the scattering solver append an on-shell node to the grid without ever
-interpolating a kernel, which would degrade it.
+A kernel is a dense matrix of samples on a momentum grid plus a little
+metadata: whether it is symmetric and (when the defining formula is
+known in closed form) a row evaluator that returns <q|V|k_i> at
+arbitrary off-grid momentum q.  The evaluator is what lets the
+scattering solver append an on-shell node to the grid without ever
+interpolating a kernel, which would degrade it.  Coordinate-space
+kernels have their own type, coordinate.CoordinateKernel.
 """
 
 from __future__ import annotations
@@ -23,30 +24,31 @@ SYMMETRY_TOL = 1e-10
 
 @dataclass(frozen=True, eq=False)
 class Kernel:
-    """Dense kernel samples with symmetry and space metadata.
+    """Dense momentum-space kernel samples with symmetry metadata.
 
     Parameters
     ----------
-    grid : MomentumGrid or RadialGrid
+    grid : MomentumGrid
         The quadrature rule the samples live on.
     values : ndarray, shape (n, n)
         Samples V(k'_i, k_j); fm for momentum-space potentials.
     symmetry : {"symmetric", "general"}
         Declared symmetry; validated on construction for "symmetric".
-    space : {"momentum", "coordinate"}
     evaluate : callable, optional
         evaluate(q, k_array) -> V(q, k) of shape q.shape + k_array.shape,
         one row per momentum in q (a scalar q gives one 1-d row).
         Present only when a closed-form or transform expression exists.
     """
 
-    grid: object
+    grid: MomentumGrid
     values: np.ndarray
     symmetry: str = "symmetric"
-    space: str = "momentum"
     evaluate: Optional[Callable] = None
 
     def __post_init__(self):
+        if not isinstance(self.grid, MomentumGrid):
+            raise ContractError("a Kernel lives on a MomentumGrid, "
+                                f"not a {type(self.grid).__name__}")
         v = np.asarray(self.values)
         n = self.grid.n
         if v.shape != (n, n):
@@ -55,8 +57,6 @@ class Kernel:
             raise ContractError("kernel contains non-finite entries")
         if self.symmetry not in ("symmetric", "general"):
             raise ContractError(f"unknown symmetry flag {self.symmetry!r}")
-        if self.space not in ("momentum", "coordinate"):
-            raise ContractError(f"unknown space flag {self.space!r}")
         if self.symmetry == "symmetric":
             scale = np.max(np.abs(v))
             if scale > 0 and np.max(np.abs(v - v.T)) > SYMMETRY_TOL * scale:
@@ -116,8 +116,7 @@ def gaussian_momentum_kernel(lam: float, b: float, grid: MomentumGrid) -> Kernel
         raise ContractError(f"need b > 0, got {b}")
     f = _gauss_formula(lam, b)
     k = grid.nodes
-    return Kernel(grid=grid, values=f(k, k), symmetry="symmetric",
-                  space="momentum", evaluate=f)
+    return Kernel(grid=grid, values=f(k, k), symmetry="symmetric", evaluate=f)
 
 
 def local_to_momentum(v_r: np.ndarray, rgrid: RadialGrid, kgrid: MomentumGrid) -> Kernel:
@@ -150,8 +149,7 @@ def local_to_momentum(v_r: np.ndarray, rgrid: RadialGrid, kgrid: MomentumGrid) -
 
     values = evaluate(kgrid.nodes, kgrid.nodes)
     values = 0.5 * (values + values.T)
-    return Kernel(grid=kgrid, values=values, symmetry="symmetric",
-                  space="momentum", evaluate=evaluate)
+    return Kernel(grid=kgrid, values=values, symmetry="symmetric", evaluate=evaluate)
 
 
 def rank_one_update(base: Kernel, left: np.ndarray, right: np.ndarray,
@@ -196,5 +194,4 @@ def rank_one_update(base: Kernel, left: np.ndarray, right: np.ndarray,
             return base_eval(q, kk) + np.multiply.outer(coefficient * left_fn(q),
                                                         right_fn(kk))
 
-    return Kernel(grid=base.grid, values=values, symmetry=symmetry,
-                  space=base.space, evaluate=evaluate)
+    return Kernel(grid=base.grid, values=values, symmetry=symmetry, evaluate=evaluate)

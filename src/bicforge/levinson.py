@@ -69,7 +69,7 @@ def bic_census(V: Kernel, grid: MomentumGrid, samples: int = 64,
     spectrum side nor the phase side can classify it; that case raises
     CensusIndeterminateError rather than guessing.
     """
-    if V.symmetry != "symmetric" or V.space != "momentum":
+    if not isinstance(V, Kernel) or V.symmetry != "symmetric":
         raise ConsistencyError("census requires a symmetric momentum-space kernel")
     evals = np.linalg.eigvalsh(_hamiltonian(V, grid))
     k0 = grid.nodes[0]

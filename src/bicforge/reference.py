@@ -24,6 +24,7 @@ from .spectral import BoundState
 
 NORMALIZABILITY_TOL = 1e-8
 COUPLING_TOL = 1e-6
+VNW_MESH_POINTS = 240001
 
 
 def _vnw_r_factor(k, r):
@@ -117,19 +118,19 @@ def vnw_build(k: float, A: float, rgrid: RadialGrid) -> VnwPotential:
                         phi_samples=_vnw_phi(k, A, rgrid.nodes))
 
 
-def vnw_verify(model: VnwPotential, energy: Optional[float] = None,
-               mesh_points: int = 240001) -> float:
+def vnw_verify(model: VnwPotential, energy: Optional[float] = None) -> float:
     """Finite-difference residual of the radial equation for the model.
 
     Checks (-d^2/dr^2 + V - E) u = 0 for u = r phi on a fine uniform
-    mesh with the 5-point second-derivative stencil, two edge points
-    excluded on each side.  Returns the rms residual relative to the
-    rms of u; at the construction energy E = k^2 this is resolution
-    noise, while an offset energy E = k^2 + c returns about c.
+    mesh (VNW_MESH_POINTS points up to r = 60/k) with the 5-point
+    second-derivative stencil, two edge points excluded on each side.
+    Returns the rms residual relative to the rms of u; at the
+    construction energy E = k^2 this is resolution noise, while an
+    offset energy E = k^2 + c returns about c.
     """
     k = model.k_bic
     e = k * k if energy is None else float(energy)
-    r = np.linspace(1e-6, 60.0 / k, mesh_points)
+    r = np.linspace(1e-6, 60.0 / k, VNW_MESH_POINTS)
     h = r[1] - r[0]
     u = r * model.phi(r)
     v = model.v(r)
@@ -184,8 +185,7 @@ class SeparableModel:
                                          np.asarray(g_fn(kk), dtype=float))
 
         return Kernel(grid=self.grid, values=lam * np.outer(g, g),
-                      symmetry="symmetric", space="momentum",
-                      evaluate=evaluate)
+                      symmetry="symmetric", evaluate=evaluate)
 
 
 def _form_factor_callable(g, grid: MomentumGrid):

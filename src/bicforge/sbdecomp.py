@@ -100,8 +100,7 @@ def build_v_b(states, grid: MomentumGrid) -> Kernel:
     on the row index only.
     """
     _check_orthonormal(states, grid)
-    return Kernel(grid=grid, values=_v_b_values(states, grid),
-                  symmetry="general", space="momentum")
+    return Kernel(grid=grid, values=_v_b_values(states, grid), symmetry="general")
 
 
 def _t_omega_dagger(t_matrix, grid, pv):
@@ -142,7 +141,7 @@ def v_s_from_T(t_matrix: np.ndarray, grid: MomentumGrid,
             f"imaginary residue {np.max(np.abs(f.imag)):.3e} above tolerance; "
             "the T-matrix violates on-shell unitarity"
         )
-    return Kernel(grid=grid, values=f.real, symmetry="general", space="momentum")
+    return Kernel(grid=grid, values=f.real, symmetry="general")
 
 
 def energy_shift(V0: Kernel, state: BoundState, e_new: float) -> Kernel:
@@ -171,6 +170,8 @@ def detect_bic_signature(V_B: Kernel) -> BicSignature:
     maximum count as zero (the zero-energy case is exact at the origin
     but reaches it only through quadrature noise).
     """
+    if not isinstance(V_B, Kernel):
+        raise ContractError("the signature needs a momentum-space kernel")
     values = V_B.values
     k = V_B.grid.nodes
     scale = np.max(np.abs(values))
@@ -208,6 +209,8 @@ def extract_bics(V_B: Kernel, negatives) -> list:
     kernel norm); raises ExtractionError when the remainder is not
     numerically low rank.
     """
+    if not isinstance(V_B, Kernel):
+        raise ContractError("extraction needs a momentum-space kernel")
     grid = V_B.grid
     uu = grid.nodes ** 2
     remainder = V_B.values - _v_b_values(negatives, grid)
@@ -259,8 +262,7 @@ def sb_decompose(V: Kernel, grid: MomentumGrid) -> SBDecomposition:
     pv = PrincipalValueWeights(grid)
     t_matrix = half_on_shell_T_matrix(V, grid, pv)
     v_s = v_s_from_T(t_matrix, grid, pv)
-    v_b = Kernel(grid=grid, values=V.values - v_s.values,
-                 symmetry="general", space="momentum")
+    v_b = Kernel(grid=grid, values=V.values - v_s.values, symmetry="general")
     negatives = negative_energy_states(V, grid)
     embedded = [st for st, _ in extract_bics(v_b, negatives)]
     return SBDecomposition(v_s=v_s, v_b=v_b, bound_list=negatives + embedded)
@@ -334,5 +336,4 @@ def s_space_perturb(V0: Kernel, state: BoundState, A: Kernel,
             return (v0_eval(q, kk) + strength * a_eval(q, kk) - outer(phi_q, y_t)
                     - outer(y_q, phi_t) + outer(s_scal * phi_q, phi_t))
 
-    return Kernel(grid=grid, values=values, symmetry="symmetric",
-                  space="momentum", evaluate=evaluate)
+    return Kernel(grid=grid, values=values, symmetry="symmetric", evaluate=evaluate)

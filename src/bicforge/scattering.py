@@ -142,11 +142,11 @@ class PrincipalValueWeights:
     instance and is read-only; it does not include the 1/(2 pi)^3.
     """
 
-    def __init__(self, grid: MomentumGrid, width: int = STENCIL_WIDTH):
+    def __init__(self, grid: MomentumGrid):
         k, w = grid.nodes, grid.weights
         u = k * k
         nodes = np.arange(grid.n)
-        idx, d = _x_derivative_stencils(grid.gauss_x, width)
+        idx, d = _x_derivative_stencils(grid.gauss_x, STENCIL_WIDTH)
         dudx = 2.0 * k * grid.map_jacobian
         # row m of rows is column m of the matrix, so columns are contiguous
         gap = u[:, None] - u[None, :]
@@ -164,7 +164,7 @@ class PrincipalValueWeights:
 
 
 def _require_scattering_kernel(V: Kernel, grid: MomentumGrid):
-    if V.space != "momentum" or V.symmetry != "symmetric":
+    if not isinstance(V, Kernel) or V.symmetry != "symmetric":
         raise ContractError("scattering requires a symmetric momentum-space kernel")
     if V.n != grid.n:
         raise ContractError("kernel does not live on the supplied grid")

@@ -115,7 +115,7 @@ def negative_energy_states(V: Kernel, grid: MomentumGrid) -> list:
     ContractError
         If the kernel is not symmetric momentum-space on this grid.
     """
-    if V.space != "momentum" or V.symmetry != "symmetric":
+    if not isinstance(V, Kernel) or V.symmetry != "symmetric":
         raise ContractError("need a symmetric momentum-space kernel")
     if V.n != grid.n:
         raise ShapeError("kernel grid does not match")
@@ -159,6 +159,8 @@ def schrodinger_residual(V: Kernel, state: BoundState) -> float:
     Returns sqrt(sum_i measure_i r_i^2) with
     r = k^2 phi + V (measure phi) - E phi.
     """
+    if not isinstance(V, Kernel):
+        raise ContractError("the residual needs a momentum-space kernel")
     grid = state.grid
     if V.n != grid.n:
         raise ShapeError("kernel and state live on different grids")

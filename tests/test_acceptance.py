@@ -162,7 +162,7 @@ def test_criterion_06_coordinate_nodes(grid, v0, phi0):
     shift_term = Kernel(grid=grid,
                         values=(4.0 - phi0.energy) * np.outer(phi0.samples,
                                                               phi0.samples),
-                        symmetry="symmetric", space="momentum")
+                        symmetry="symmetric")
     rgrid = build_uniform_radial_grid(600, 9.0)
     sv = np.linalg.svd(momentum_to_coordinate(shift_term, rgrid).values,
                        compute_uv=False)

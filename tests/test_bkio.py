@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bicforge import (
+    ConfigurationError,
     ConsistencyError,
     ContractError,
     CoordinateKernel,
@@ -25,7 +26,6 @@ def test_momentum_kernel_round_trips_bit_for_bit(tmp_path, grid, v0):
     back = read_kernel(path)
     assert isinstance(back, Kernel)
     assert back.symmetry == "symmetric"
-    assert back.space == "momentum"
     assert np.array_equal(back.values, v0.values)
     assert np.array_equal(back.grid.nodes, grid.nodes)
     assert back.grid.map_scale == grid.map_scale
@@ -57,11 +57,21 @@ def test_identical_writes_are_byte_identical(tmp_path, v0):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_coordinate_flagged_kernel_instance_is_rejected(tmp_path, grid):
-    wrong = Kernel(grid=grid, values=np.zeros((grid.n, grid.n)),
-                   symmetry="general", space="coordinate")
-    with pytest.raises(ContractError):
-        write_kernel(wrong, tmp_path / "wrong.bk")
+def test_kernel_on_a_radial_grid_is_rejected():
+    rgrid = build_uniform_radial_grid(16, 8.0)
+    with pytest.raises(ContractError, match="MomentumGrid"):
+        Kernel(grid=rgrid, values=np.zeros((16, 16)), symmetry="general")
+
+
+def test_negative_radial_weight_is_a_configuration_error(tmp_path, v0):
+    path = tmp_path / "coord.bk"
+    write_kernel(momentum_to_coordinate(v0, build_uniform_radial_grid(60, 8.0)), path)
+    lines = path.read_text().splitlines()
+    node, _, _ = lines[3].partition(",")
+    lines[3] = f"{node},-0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConfigurationError, match="weights must be positive"):
+        read_kernel(path)
 
 
 def test_truncated_body_is_rejected(tmp_path, v0):

@@ -131,6 +131,27 @@ def test_vnw_rejects_a_non_positive_momentum(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error:")
 
 
+# the report keys and output files of the subcommands no other test runs
+REPORTS = {
+    "perturb": (("kernel_file", "strength", "phi_residual",
+                 "max_delta_change_rad", "kept_state_fm2"),
+                {"perturbed.bk", "phase_seed.csv", "phase_perturbed.csv"}),
+    "extract": (("negative_states", "embedded_states", "factorization_ratio",
+                 "bic_0_Ksq_fm2"), set()),
+    "separable": (("coupling_critical", "Ksq_fm2", "residual", "phi_file",
+                   "census_separable"), {"separable_phi.csv"}),
+    "verify-ab": (("residual_A", "residual_B"), set()),
+}
+
+
+@pytest.mark.parametrize("command", REPORTS)
+def test_subcommand_reports_its_keys_and_writes_its_files(capsys, tmp_path, command):
+    keys, files = REPORTS[command]
+    assert main(["--out", str(tmp_path), command]) == 0
+    assert set(keys) <= _fields(_lines(capsys)).keys()
+    assert {p.name for p in tmp_path.iterdir()} == files
+
+
 def test_failing_reproduce_writes_nothing(capsys, tmp_path):
     # at n = 16 the seed's V_S + V_B split fails after most stages succeed
     out = tmp_path / "tree"

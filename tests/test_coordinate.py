@@ -5,18 +5,28 @@ import pytest
 
 from bicforge import (
     BoundState,
+    ConsistencyError,
     ContractError,
     CoordinateKernel,
     Kernel,
     ShapeError,
+    bic_census,
     build_uniform_radial_grid,
     build_v_b,
     coordinate_residual,
     coordinate_to_momentum,
+    detect_bic_signature,
     energy_shift,
+    extract_bics,
+    half_on_shell_T_matrix,
     inner_product,
     local_coordinate_kernel,
     momentum_to_coordinate,
+    negative_energy_states,
+    phase_curve,
+    sb_decompose,
+    schrodinger_residual,
+    solve_k_matrix,
     vb_profile_node,
     wavefunction_to_coordinate,
 )
@@ -87,7 +97,7 @@ def test_gaussian_wavefunction_closed_form(grid, rgrid):
 def test_round_trip_of_smooth_nonlocal_kernel(grid, rgrid, phi0):
     rank1 = Kernel(grid=grid,
                    values=(1.0 - phi0.energy) * np.outer(phi0.samples, phi0.samples),
-                   symmetry="symmetric", space="momentum")
+                   symmetry="symmetric")
     back = coordinate_to_momentum(momentum_to_coordinate(rank1, rgrid), grid)
     diff = np.max(np.abs(back.values - rank1.values))
     assert diff <= 1e-6 * np.max(np.abs(rank1.values))
@@ -95,15 +105,38 @@ def test_round_trip_of_smooth_nonlocal_kernel(grid, rgrid, phi0):
 
 def test_zero_kernel_transforms_to_zero(grid, rgrid):
     zero = Kernel(grid=grid, values=np.zeros((grid.n, grid.n)),
-                  symmetry="symmetric", space="momentum")
+                  symmetry="symmetric")
     assert np.all(momentum_to_coordinate(zero, rgrid).values == 0.0)
 
 
-def test_transform_rejects_coordinate_space_input(grid, rgrid):
-    wrong = Kernel(grid=grid, values=np.zeros((grid.n, grid.n)),
-                   symmetry="general", space="coordinate")
+def test_transform_rejects_coordinate_space_input(v0, rgrid):
     with pytest.raises(ContractError):
-        momentum_to_coordinate(wrong, rgrid)
+        momentum_to_coordinate(momentum_to_coordinate(v0, rgrid), rgrid)
+
+
+# each takes a momentum-space Kernel; the coordinate kernel below has as
+# many nodes as the momentum grid, so no shape check can stand in for the
+# type check, and the error must be the contract one (radial values read
+# as momentum samples can also fail an extraction or a solve by chance)
+MOMENTUM_ONLY = {
+    "momentum_to_coordinate": lambda ck, grid, phi0: momentum_to_coordinate(ck, ck.grid),
+    "negative_energy_states": lambda ck, grid, phi0: negative_energy_states(ck, grid),
+    "half_on_shell_T_matrix": lambda ck, grid, phi0: half_on_shell_T_matrix(ck, grid),
+    "solve_k_matrix": lambda ck, grid, phi0: solve_k_matrix(ck, grid, 1.0),
+    "phase_curve": lambda ck, grid, phi0: phase_curve(ck, grid),
+    "bic_census": lambda ck, grid, phi0: bic_census(ck, grid),
+    "sb_decompose": lambda ck, grid, phi0: sb_decompose(ck, grid),
+    "schrodinger_residual": lambda ck, grid, phi0: schrodinger_residual(ck, phi0),
+    "detect_bic_signature": lambda ck, grid, phi0: detect_bic_signature(ck),
+    "extract_bics": lambda ck, grid, phi0: extract_bics(ck, []),
+}
+
+
+@pytest.mark.parametrize("call", MOMENTUM_ONLY.values(), ids=MOMENTUM_ONLY.keys())
+def test_momentum_space_functions_reject_a_coordinate_kernel(grid, v0, phi0, call):
+    ck = momentum_to_coordinate(v0, build_uniform_radial_grid(grid.n, 9.0))
+    with pytest.raises((ContractError, ConsistencyError)):
+        call(ck, grid, phi0)
 
 
 def test_bound_part_transform_matches_radial_form(grid, rgrid, phi0, phi_r):
@@ -119,7 +152,7 @@ def test_bound_part_transform_matches_radial_form(grid, rgrid, phi0, phi_r):
 def test_shift_term_is_rank_one_in_coordinate_space(grid, rgrid, phi0):
     shift = Kernel(grid=grid,
                    values=(4.0 - phi0.energy) * np.outer(phi0.samples, phi0.samples),
-                   symmetry="symmetric", space="momentum")
+                   symmetry="symmetric")
     sv = np.linalg.svd(momentum_to_coordinate(shift, rgrid).values,
                        compute_uv=False)
     assert sv[1] / sv[0] <= 1e-6

@@ -57,13 +57,12 @@ def test_kernel_evaluate_agrees_with_samples(v0, grid):
 def test_kernel_rejects_asymmetric_values_with_symmetric_flag(grid):
     vals = np.outer(grid.nodes, np.ones(grid.n))
     with pytest.raises(ContractError):
-        Kernel(grid=grid, values=vals, symmetry="symmetric", space="momentum")
+        Kernel(grid=grid, values=vals, symmetry="symmetric")
 
 
 def test_kernel_rejects_wrong_shape(grid):
     with pytest.raises(ShapeError):
-        Kernel(grid=grid, values=np.zeros((3, 3)), symmetry="general",
-               space="momentum")
+        Kernel(grid=grid, values=np.zeros((3, 3)), symmetry="general")
 
 
 def test_local_to_momentum_matches_analytic_gaussian(grid, v0):

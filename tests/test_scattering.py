@@ -60,8 +60,7 @@ def test_solver_rejects_momentum_on_a_grid_node(grid, v0):
 
 def test_interpolated_rows_match_analytic_evaluator(grid, v0):
     # dropping the closed-form evaluator forces barycentric kernel rows
-    sampled = Kernel(grid=grid, values=v0.values, symmetry="symmetric",
-                     space="momentum")
+    sampled = Kernel(grid=grid, values=v0.values, symmetry="symmetric")
     for k_on in (0.7, 2.9):
         exact = solve_k_matrix(v0, grid, k_on).delta
         interp = solve_k_matrix(sampled, grid, k_on).delta

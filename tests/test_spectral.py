@@ -63,8 +63,7 @@ def test_state_evaluator_interpolates_through_samples(grid, phi0):
 
 
 def test_diagonalization_requires_symmetric_kernel(grid, v0):
-    lop = Kernel(grid=grid, values=np.triu(v0.values), symmetry="general",
-                 space="momentum")
+    lop = Kernel(grid=grid, values=np.triu(v0.values), symmetry="general")
     with pytest.raises(ContractError):
         negative_energy_states(lop, grid)
 
