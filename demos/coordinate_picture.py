@@ -41,11 +41,12 @@ print()
 print("bound-part profile node against the embedded energy")
 print("  the kernel changes sign where (E + laplacian) phi(r') does;")
 print("  higher E pulls the node inward")
-for e in (0.0, 1.0, 4.0):
-    node = vb_profile_node(phi_r, mesh.nodes, e)
+energies = (0.0, 1.0, 4.0)
+*nodes, node_e0 = vb_profile_node(phi_r, mesh.nodes,
+                                  np.array([*energies, phi.energy]))
+for e, node in zip(energies, nodes):
     print(f"  E = {e:+.1f} fm^-2:  node at r' = {node:.4f} fm")
-node = vb_profile_node(phi_r, mesh.nodes, phi.energy)
-print(f"  E = E0:         {'nodeless' if node is None else node} "
+print(f"  E = E0:         {'nodeless' if node_e0 is None else node_e0} "
       "(negative profile energy keeps one sign)")
 
 print()

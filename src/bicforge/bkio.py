@@ -8,9 +8,11 @@ are rebuilt through the grid constructor on read, with the stored nodes
 cross-checked; coordinate grids (`#grid n r_max`) are taken verbatim
 from the stored quadrature.
 
-All numbers are written with 17 significant digits, which round-trips
-IEEE doubles exactly: a kernel survives write/read bit for bit, and
-identical runs produce byte-identical files.
+All numbers are written in one format, DOUBLE_FORMAT = "%.17g" (17
+significant digits), which round-trips IEEE doubles exactly: a kernel
+survives write/read bit for bit, and identical runs produce
+byte-identical files.  A line of numbers is formatted in one `%`
+operation by format_row, which the CLI's curve files share.
 
 Only dense real values are stored.  Symbolic local parts of coordinate
 kernels and evaluator closures are construction-time objects with no
@@ -27,9 +29,21 @@ from .grid import MomentumGrid, RadialGrid, build_momentum_grid
 from .kernels import Kernel
 
 
+DOUBLE_FORMAT = "%.17g"
+
+
 def format_double(x: float) -> str:
     """17 significant digits: enough for any IEEE double to round-trip."""
-    return f"{float(x):.17g}"
+    return DOUBLE_FORMAT % float(x)
+
+
+def format_row(row, sep: str = " ") -> str:
+    """The entries of a 1-d array in DOUBLE_FORMAT joined by sep, as one line.
+
+    Equal to sep.join(format_double(x) for x in row), in one `%` call.
+    """
+    values = np.asarray(row, dtype=float).tolist()
+    return sep.join([DOUBLE_FORMAT] * len(values)) % tuple(values)
 
 
 def write_kernel(kernel, path) -> None:
@@ -47,10 +61,9 @@ def write_kernel(kernel, path) -> None:
         lines.append(f"#symmetry {kernel.symmetry}")
     else:
         raise ContractError(f"cannot serialize {type(kernel).__name__}")
-    for node, weight in zip(grid.nodes, grid.weights):
-        lines.append(f"{format_double(node)},{format_double(weight)}")
-    for row in np.asarray(kernel.values, dtype=float):
-        lines.append(" ".join(format_double(x) for x in row))
+    quadrature = np.column_stack((grid.nodes, grid.weights))
+    lines += [format_row(pair, ",") for pair in quadrature]
+    lines += [format_row(row) for row in np.asarray(kernel.values, dtype=float)]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -59,9 +72,9 @@ def read_kernel(path):
     """Read a .bk file back into a Kernel or CoordinateKernel.
 
     Momentum grids are rebuilt from their stored parameters; a mismatch
-    beyond 1e-12 relative between rebuilt and stored nodes means the
-    file was produced by an incompatible grid construction and raises
-    ConsistencyError.
+    beyond 1e-12 relative between rebuilt and stored nodes or weights
+    means the file was produced by an incompatible grid construction, or
+    edited, and raises ConsistencyError.
     """
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
@@ -117,6 +130,11 @@ def read_kernel(path):
     if np.max(np.abs(grid.nodes - nodes)) > 1e-12 * grid.cutoff:
         raise ConsistencyError(
             "stored nodes disagree with the rebuilt grid; "
+            "the file used a different grid construction"
+        )
+    if not np.all(np.abs(grid.weights - weights) <= 1e-12 * grid.weights):
+        raise ConsistencyError(
+            "stored weights disagree with the rebuilt grid; "
             "the file used a different grid construction"
         )
     return Kernel(grid=grid, values=values, symmetry=header["symmetry"])

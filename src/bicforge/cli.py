@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bkio
-from .bkio import format_double
+from .bkio import format_double, format_row
 from .coordinate import (build_uniform_radial_grid, momentum_to_coordinate,
                          vb_profile_node, wavefunction_to_coordinate)
 from .errors import (BicForgeError, CensusAmbiguousError,
@@ -74,7 +74,7 @@ def _write_files(directory: Path, files: dict, fmt: str) -> dict:
             sep, head, ext = (",", "", ".csv") if fmt == "csv" else (" ", "# ", ".txt")
             path = directory / (name + ext)
             lines = [head + sep.join(names)]
-            lines += [sep.join(format_double(v) for v in row) for row in zip(*columns)]
+            lines += [format_row(row, sep) for row in np.column_stack(columns)]
             path.write_text("\n".join(lines) + "\n")
         else:
             path = directory / f"{name}.bk"
@@ -110,11 +110,11 @@ def _bound_parts(phi: BoundState, energies, rn: int, rmax: float, mesh_n: int):
     mesh = build_uniform_radial_grid(mesh_n, rmax)
     phi_mesh = wavefunction_to_coordinate(phi, mesh)
     rgrid = build_radial_grid(rn, rmax)
+    nodes = vb_profile_node(phi_mesh, mesh.nodes, np.asarray(energies))
     parts = {}
-    for e in energies:
+    for e, node in zip(energies, nodes):
         tag = _etag(e)
         vb = build_v_b([_moved(phi, e)], phi.grid)
-        node = vb_profile_node(phi_mesh, mesh.nodes, e)
         parts[tag] = (vb, momentum_to_coordinate(vb, rgrid), f"node_{tag}_fm = "
                       + ("none" if node is None else format_double(node)))
     return (("r", "phi"), (mesh.nodes, phi_mesh)), parts
@@ -400,7 +400,7 @@ def _cmd_reproduce(args) -> list:
         "phase-shifts": {"delta_seed": _delta_curve(seed_curve),
                          **{f"delta_{tag}": _delta_curve(curve)
                             for tag, curve in curves.items()}},
-        "t-matrix": _tmatrix_files(half_on_shell_T_matrix(v0, grid), grid),
+        "t-matrix": _tmatrix_files(decomp.t_matrix, grid),
         "bound-part": {f"vb_{tag}": vb for tag, (vb, _, _) in parts.items()},
         "coordinate": {**{f"vb_coord_{tag}": ck for tag, (_, ck, _) in parts.items()},
                        "nodes": [line for _, _, line in parts.values()]},

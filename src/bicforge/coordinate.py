@@ -173,13 +173,15 @@ def _radial_laplacian(phi, r):
     return out
 
 
-def vb_profile_node(phi, r, E: float):
+def vb_profile_node(phi, r, E):
     """First sign change of (E + laplacian) phi(r'), the bound-part profile node.
 
     A single-state bound part is (E + laplacian') phi(r') phi(r) up to
     normalization, so its r'-profile changes sign where this expression
     does; for an embedded state the node sits at r' near 1/sqrt(E)
-    scale and moves inward as E grows.
+    scale and moves inward as E grows.  Only the E phi term depends on
+    the energy, so an array of energies shares one laplacian and gives
+    the same nodes as one call per energy.
 
     Parameters
     ----------
@@ -187,20 +189,32 @@ def vb_profile_node(phi, r, E: float):
         Radial wavefunction samples.
     r : ndarray
         Sample radii, uniformly spaced.
-    E : float
-        Profile energy in fm^-2.
+    E : float or 1-d array
+        Profile energy or energies in fm^-2.
 
     Returns
     -------
-    float or None
+    float or None, or a list of them
         Interpolated node radius, or None when the profile keeps one
-        sign (the case for E below minus the binding energy).
+        sign (the case for E below minus the binding energy); a list
+        with one entry per energy when E is an array.
     """
     r = np.asarray(r, dtype=float)
     spacing = np.diff(r)
     if np.max(np.abs(spacing - spacing[0])) > 1e-9 * spacing[0]:
         raise ContractError("profile node search needs a uniform radial mesh")
-    g = E * np.asarray(phi, dtype=float) + _radial_laplacian(phi, r)
+    energies = np.asarray(E, dtype=float)
+    if energies.ndim > 1:
+        raise ShapeError("profile energies must be a scalar or a 1-d array")
+    phi = np.asarray(phi, dtype=float)
+    lap = _radial_laplacian(phi, r)
+    nodes = [_first_sign_change(e * phi + lap, r) for e in energies.reshape(-1)]
+    return nodes if energies.ndim else nodes[0]
+
+
+def _first_sign_change(g, r):
+    """Interpolated radius of g's first clear sign change off the two edge
+    nodes at each end, or None."""
     interior = slice(2, r.size - 2)
     gs, rs = g[interior], r[interior]
     tol = 1e-9 * np.max(np.abs(gs))

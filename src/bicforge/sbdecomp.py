@@ -37,11 +37,13 @@ MAX_EMBEDDED_RANK = 8
 
 @dataclass(frozen=True, eq=False)
 class SBDecomposition:
-    """The pair (V_S, V_B) plus the bound states V_B encodes."""
+    """The pair (V_S, V_B) plus the bound states V_B encodes, and the
+    half-on-shell T-matrix V_S was built from."""
 
     v_s: Kernel
     v_b: Kernel
     bound_list: list
+    t_matrix: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -257,7 +259,8 @@ def sb_decompose(V: Kernel, grid: MomentumGrid) -> SBDecomposition:
     Solves for the half-on-shell T-matrix, builds V_S from it, takes
     V_B as the remainder V - V_S, and populates the bound list with the
     negative-energy spectrum plus any embedded states recovered from
-    V_B.
+    V_B.  The T-matrix is returned with the parts, so callers that also
+    need it do not solve it again.
     """
     pv = PrincipalValueWeights(grid)
     t_matrix = half_on_shell_T_matrix(V, grid, pv)
@@ -265,7 +268,8 @@ def sb_decompose(V: Kernel, grid: MomentumGrid) -> SBDecomposition:
     v_b = Kernel(grid=grid, values=V.values - v_s.values, symmetry="general")
     negatives = negative_energy_states(V, grid)
     embedded = [st for st, _ in extract_bics(v_b, negatives)]
-    return SBDecomposition(v_s=v_s, v_b=v_b, bound_list=negatives + embedded)
+    return SBDecomposition(v_s=v_s, v_b=v_b, bound_list=negatives + embedded,
+                           t_matrix=t_matrix)
 
 
 def verify_conditions_AB(t_matrix: np.ndarray, states, grid: MomentumGrid):

@@ -14,6 +14,7 @@ from bicforge import (
     Kernel,
     build_momentum_grid,
     build_uniform_radial_grid,
+    gaussian_momentum_kernel,
     momentum_to_coordinate,
     read_kernel,
     write_kernel,
@@ -103,6 +104,57 @@ def test_corrupted_node_is_caught_against_the_rebuilt_grid(tmp_path, v0):
         read_kernel(path)
 
 
+def test_corrupted_weight_is_caught_against_the_rebuilt_grid(tmp_path):
+    grid = build_momentum_grid(16)
+    path = tmp_path / "bent.bk"
+    write_kernel(gaussian_momentum_kernel(-30.0, 0.5, grid), path)
+    lines = path.read_text().splitlines()
+    node, _, _ = lines[3].partition(",")
+    lines[3] = f"{node},-0.5"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ConsistencyError, match="weights"):
+        read_kernel(path)
+
+
+def _reference_bk(kernel):
+    """The .bk text of the writer that formatted one number at a time."""
+    def fmt(x):
+        return f"{float(x):.17g}"
+
+    grid = kernel.grid
+    if isinstance(kernel, CoordinateKernel):
+        lines = [f"#grid {grid.n} {fmt(grid.r_max)}", "#space coordinate",
+                 "#symmetry general"]
+    else:
+        lines = [f"#grid {grid.n} {fmt(grid.map_scale)} {fmt(grid.cutoff)}",
+                 "#space momentum", f"#symmetry {kernel.symmetry}"]
+    for node, weight in zip(grid.nodes, grid.weights):
+        lines.append(f"{fmt(node)},{fmt(weight)}")
+    for row in kernel.values:
+        lines.append(" ".join(fmt(x) for x in row))
+    return "\n".join(lines) + "\n"
+
+
+def _first_differing_line(got, want):
+    """Index of the first line where two texts differ, or None.
+
+    Compared line by line because pytest's own diff of two large
+    mismatched texts takes minutes.
+    """
+    a, b = got.split("\n"), want.split("\n")
+    tail = None if len(a) == len(b) else min(len(a), len(b))
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), tail)
+
+
+@pytest.mark.parametrize("space", ["momentum", "coordinate"])
+def test_writer_matches_the_per_number_reference(tmp_path, v0, space):
+    kernel = v0 if space == "momentum" else momentum_to_coordinate(
+        v0, build_uniform_radial_grid(60, 8.0))
+    path = tmp_path / "k.bk"
+    write_kernel(kernel, path)
+    assert _first_differing_line(path.read_text(), _reference_bk(kernel)) is None
+
+
 def _non_numeric_value(lines):
     row = lines[-1].split()
     row[5] = "oops"
@@ -171,6 +223,7 @@ def test_any_finite_kernel_round_trips_bit_for_bit(tmp_path_factory, kind,
     kernel = _kernel(kind, values, r_max)
     path = tmp_path_factory.mktemp("bk") / "k.bk"
     write_kernel(kernel, path)
+    assert _first_differing_line(path.read_text(), _reference_bk(kernel)) is None
     back = read_kernel(path)
     assert type(back) is type(kernel)
     assert back.values.tobytes() == kernel.values.tobytes()

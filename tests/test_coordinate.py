@@ -172,6 +172,19 @@ def test_profile_is_nodeless_below_binding(rgrid, phi_r):
     assert vb_profile_node(phi_r, rgrid.nodes, SEED_E0) is None
 
 
+def test_array_of_energies_matches_one_call_per_energy(phi0):
+    # the 1,500-point mesh reproduce-paper searches; one shared laplacian
+    # must give the per-energy nodes bit for bit, None included
+    mesh = build_uniform_radial_grid(1500, 12.0)
+    phi_mesh = wavefunction_to_coordinate(phi0, mesh)
+    energies = (-4.0, -1.0, 0.0, 1.0, 4.0, SEED_E0)
+    nodes = vb_profile_node(phi_mesh, mesh.nodes, np.array(energies))
+    assert nodes == [vb_profile_node(phi_mesh, mesh.nodes, e) for e in energies]
+    assert nodes[-1] is None
+    with pytest.raises(ShapeError):
+        vb_profile_node(phi_mesh, mesh.nodes, np.ones((2, 2)))
+
+
 def test_profile_node_needs_uniform_mesh(phi_r):
     r = np.linspace(0.01, 9.0, phi_r.size) ** 1.1
     with pytest.raises(ContractError):

@@ -30,6 +30,10 @@ def test_parts_reassemble_the_kernel(seed_decomp, v0):
     assert np.max(np.abs(total - v0.values)) <= 1e-12 * scale
 
 
+def test_decomposition_keeps_the_t_matrix_it_was_built_from(seed_decomp, seed_t):
+    assert np.array_equal(seed_decomp.t_matrix, seed_t)
+
+
 def test_scattering_part_annihilates_bound_state(seed_decomp, grid, phi0):
     acted = seed_decomp.v_s.values @ (grid.measure * phi0.samples)
     scale = np.max(np.abs(seed_decomp.v_s.values @ grid.measure))
