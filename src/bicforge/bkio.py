@@ -127,7 +127,7 @@ def read_kernel(path):
         grid = RadialGrid(nodes=nodes, weights=weights, r_max=grid_params[0])
         return CoordinateKernel(grid=grid, values=values)
     grid = build_momentum_grid(n, *grid_params)
-    if np.max(np.abs(grid.nodes - nodes)) > 1e-12 * grid.cutoff:
+    if not np.all(np.abs(grid.nodes - nodes) <= 1e-12 * grid.cutoff):
         raise ConsistencyError(
             "stored nodes disagree with the rebuilt grid; "
             "the file used a different grid construction"

@@ -34,8 +34,7 @@ from .reference import (SeparableModel, separable_bic, separable_tune,
                         vnw_build, vnw_verify)
 from .scattering import half_on_shell_T_matrix, phase_curve
 from .sbdecomp import (build_v_b, detect_bic_signature, energy_shift,
-                       extract_bics, s_space_perturb, sb_decompose,
-                       verify_conditions_AB)
+                       s_space_perturb, sb_decompose, verify_conditions_AB)
 from .spectral import BoundState, ground_state, negative_energy_states, \
     schrodinger_residual
 
@@ -200,10 +199,19 @@ def _cmd_tmatrix(args) -> list:
     ]
 
 
+def _input_kernel(args) -> Kernel:
+    """The momentum-space kernel read from `--in`, or else the seed kernel."""
+    if args.infile is None:
+        return _seed(args)[1]
+    kernel = bkio.read_kernel(args.infile)
+    if not isinstance(kernel, Kernel):
+        raise ConfigurationError(f"{args.command} needs a momentum-space kernel file")
+    return kernel
+
+
 def _cmd_sbdecomp(args) -> list:
-    grid, v0 = _seed(args)
-    kernel = v0 if args.infile is None else _load_momentum(args.infile, "sbdecomp")
-    decomp = sb_decompose(kernel, grid if args.infile is None else kernel.grid)
+    kernel = _input_kernel(args)
+    decomp = sb_decompose(kernel, kernel.grid)
     paths = _write_files(args.out, {"v_s": decomp.v_s, "v_b": decomp.v_b}, args.format)
     lines = [
         f"v_s_file = {paths['v_s']}",
@@ -213,13 +221,6 @@ def _cmd_sbdecomp(args) -> list:
     for i, st in enumerate(decomp.bound_list):
         lines.append(_energy_line(f"state_{i}", st.energy, args))
     return lines
-
-
-def _load_momentum(path, where: str) -> Kernel:
-    kernel = bkio.read_kernel(path)
-    if not isinstance(kernel, Kernel):
-        raise ConfigurationError(f"{where} needs a momentum-space kernel file")
-    return kernel
 
 
 def _cmd_shift(args) -> list:
@@ -264,13 +265,9 @@ def _cmd_perturb(args) -> list:
 
 
 def _cmd_census(args) -> list:
-    if args.infile is None:
-        grid, kernel = _seed(args)
-        label = "seed"
-    else:
-        kernel = _load_momentum(args.infile, "census")
-        grid, label = kernel.grid, "input"
-    c = bic_census(kernel, grid, samples=args.samples)
+    kernel = _input_kernel(args)
+    label = "seed" if args.infile is None else "input"
+    c = bic_census(kernel, kernel.grid, samples=args.samples)
     return [
         f"census_{label} = N={c.n_total} Nminus={c.n_minus} Nplus={c.n_plus}",
         f"delta0_rad = {format_double(c.delta0)}",
@@ -280,26 +277,21 @@ def _cmd_census(args) -> list:
 
 
 def _cmd_extract(args) -> list:
+    kernel = _input_kernel(args)
     if args.infile is None:
-        grid, v0 = _seed(args)
-        phi = ground_state(v0, grid)
-        kernel = energy_shift(v0, phi, args.energy)
-    else:
-        kernel = _load_momentum(args.infile, "extract")
-        grid = kernel.grid
-    decomp = sb_decompose(kernel, grid)
-    negatives = negative_energy_states(kernel, grid)
-    pairs = extract_bics(decomp.v_b, negatives)
+        kernel = energy_shift(kernel, ground_state(kernel, kernel.grid), args.energy)
+    decomp = sb_decompose(kernel, kernel.grid)
+    embedded = decomp.bound_list[decomp.n_negative:]
     svals = np.linalg.svd(decomp.v_b.values, compute_uv=False)
     lines = [
-        f"negative_states = {len(negatives)}",
-        f"embedded_states = {len(pairs)}",
+        f"negative_states = {decomp.n_negative}",
+        f"embedded_states = {len(embedded)}",
     ]
     if svals[0] > 0:
-        ratio = svals[min(len(pairs), len(svals) - 1)] / svals[0]
+        ratio = svals[min(len(embedded), len(svals) - 1)] / svals[0]
         lines.append(f"factorization_ratio = {format_double(ratio)}")
-    for i, (st, k_sq) in enumerate(pairs):
-        lines.append(_energy_line(f"bic_{i}_Ksq", k_sq, args))
+    for i, st in enumerate(embedded):
+        lines.append(_energy_line(f"bic_{i}_Ksq", st.energy, args))
     return lines
 
 
@@ -417,24 +409,6 @@ def _cmd_reproduce(args) -> list:
             f"summary_file = {args.out / 'summary.txt'}"]
 
 
-_HANDLERS = {
-    "seed": _cmd_seed,
-    "bound": _cmd_bound,
-    "phase": _cmd_phase,
-    "tmatrix": _cmd_tmatrix,
-    "sbdecomp": _cmd_sbdecomp,
-    "shift": _cmd_shift,
-    "perturb": _cmd_perturb,
-    "census": _cmd_census,
-    "extract": _cmd_extract,
-    "coord": _cmd_coord,
-    "vnw": _cmd_vnw,
-    "separable": _cmd_separable,
-    "verify-ab": _cmd_verify_ab,
-    "reproduce-paper": _cmd_reproduce,
-}
-
-
 _SHARED_DEFAULTS = {"n": 128, "map_scale": 2.0, "cutoff": 40.0, "lam": -30.0,
                     "b": 0.5, "out": None, "format": "csv", "mev": False}
 
@@ -473,45 +447,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text):
+    def command(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         _add_shared(p, top=False)
+        p.set_defaults(handler=handler)
         return p
 
-    command("seed", "write the Gaussian seed kernel")
-    command("bound", "negative-energy spectrum of the seed")
-    p = command("phase", "phase-shift curve of the seed")
+    command("seed", _cmd_seed, "write the Gaussian seed kernel")
+    command("bound", _cmd_bound, "negative-energy spectrum of the seed")
+    p = command("phase", _cmd_phase, "phase-shift curve of the seed")
     p.add_argument("--samples", type=int, default=64)
-    command("tmatrix", "half-on-shell T-matrix of the seed")
-    p = command("sbdecomp", "split a kernel into V_S + V_B")
+    command("tmatrix", _cmd_tmatrix, "half-on-shell T-matrix of the seed")
+    p = command("sbdecomp", _cmd_sbdecomp, "split a kernel into V_S + V_B")
     p.add_argument("--in", dest="infile", default=None, metavar="FILE")
-    p = command("shift", "move the bound state to target energies")
+    p = command("shift", _cmd_shift, "move the bound state to target energies")
     p.add_argument("--E", dest="energy", type=float, default=None,
                    help="single target energy in fm^-2 (default: full sweep)")
-    p = command("perturb",
+    p = command("perturb", _cmd_perturb,
                 "scattering-space perturbation that keeps the bound state")
     p.add_argument("--strength", type=float, default=1.0)
     p.add_argument("--samples", type=int, default=48)
-    p = command("census", "count total/negative/embedded states")
+    p = command("census", _cmd_census, "count total/negative/embedded states")
     p.add_argument("--in", dest="infile", default=None, metavar="FILE")
     p.add_argument("--samples", type=int, default=64)
-    p = command("extract", "recover embedded states from V_B")
+    p = command("extract", _cmd_extract, "recover embedded states from V_B")
     p.add_argument("--in", dest="infile", default=None, metavar="FILE")
     p.add_argument("--E", dest="energy", type=float, default=4.0,
                    help="embedding energy for the default construction")
-    p = command("coord", "coordinate-space kernels and profile nodes")
+    p = command("coord", _cmd_coord, "coordinate-space kernels and profile nodes")
     p.add_argument("--rn", type=int, default=160, help="radial quadrature nodes")
     p.add_argument("--rmax", type=float, default=12.0)
     p.add_argument("--mesh", type=int, default=1500,
                    help="uniform mesh points for the node search")
-    p = command("vnw", "oscillating local benchmark potential")
+    p = command("vnw", _cmd_vnw, "oscillating local benchmark potential")
     p.add_argument("--k", type=float, default=1.0, help="embedded momentum fm^-1")
     p.add_argument("--A", dest="shape", type=float, default=10.0,
                    help="shape constant")
-    p = command("separable", "tuned rank-one benchmark potential")
+    p = command("separable", _cmd_separable, "tuned rank-one benchmark potential")
     p.add_argument("--K", type=float, default=1.0, help="embedded momentum fm^-1")
-    command("verify-ab", "scattering/bound-space consistency residuals")
-    command("reproduce-paper",
+    command("verify-ab", _cmd_verify_ab,
+            "scattering/bound-space consistency residuals")
+    command("reproduce-paper", _cmd_reproduce,
             "write the full default sweep as one directory tree")
     return parser
 
@@ -525,7 +501,7 @@ def main(argv=None) -> int:
     args.out = Path(args.out if args.out is not None
                     else os.environ.get(OUTDIR_ENV) or ".")
     try:
-        for line in _HANDLERS[args.command](args):
+        for line in args.handler(args):
             print(line)
     except (BicForgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

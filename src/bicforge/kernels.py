@@ -68,6 +68,26 @@ class Kernel:
         return self.grid.n
 
 
+def require_on_grid(V, grid: MomentumGrid) -> None:
+    """Raise ContractError unless V is a Kernel whose samples live on grid.
+
+    The kernel's grid must be grid itself or one with equal nodes,
+    weights, gauss_x, cutoff and map_scale: a grid of the same size built
+    with another map or cutoff is a different quadrature, and a kernel
+    read on it gives wrong numbers rather than an error.
+    """
+    if not isinstance(V, Kernel):
+        raise ContractError(f"need a momentum-space Kernel, not a {type(V).__name__}")
+    own = V.grid
+    if own is grid:
+        return
+    if not (isinstance(grid, MomentumGrid) and own.cutoff == grid.cutoff
+            and own.map_scale == grid.map_scale
+            and all(np.array_equal(getattr(own, a), getattr(grid, a))
+                    for a in ("nodes", "weights", "gauss_x"))):
+        raise ContractError("kernel does not live on the supplied grid")
+
+
 def _gauss_formula(lam: float, b: float):
     """Closed form of the Gaussian kernel as a broadcastable function.
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import CensusAmbiguousError, CensusIndeterminateError, ConsistencyError
 from .grid import MomentumGrid
-from .kernels import Kernel
+from .kernels import Kernel, require_on_grid
 from .scattering import PhaseShiftCurve, phase_curve
 from .spectral import _hamiltonian
 
@@ -71,6 +71,7 @@ def bic_census(V: Kernel, grid: MomentumGrid, samples: int = 64,
     """
     if not isinstance(V, Kernel) or V.symmetry != "symmetric":
         raise ConsistencyError("census requires a symmetric momentum-space kernel")
+    require_on_grid(V, grid)
     evals = np.linalg.eigvalsh(_hamiltonian(V, grid))
     k0 = grid.nodes[0]
     if np.min(np.abs(evals)) < 0.1 * k0 * k0:

@@ -24,9 +24,9 @@ import numpy as np
 
 from .errors import ConsistencyError, ContractError, ExtractionError, ShapeError
 from .grid import TWO_PI_CUBED, MomentumGrid, inner_product
-from .kernels import Kernel, rank_one_update
+from .kernels import Kernel, rank_one_update, require_on_grid
 from .scattering import PrincipalValueWeights, density_of_states, half_on_shell_T_matrix
-from .spectral import BoundState, negative_energy_states, schrodinger_residual
+from .spectral import BoundState, _sign_fix, negative_energy_states, schrodinger_residual
 
 ORTHONORMAL_TOL = 1e-8
 ORIGIN_SIGN_TOL = 1e-4
@@ -38,12 +38,18 @@ MAX_EMBEDDED_RANK = 8
 @dataclass(frozen=True, eq=False)
 class SBDecomposition:
     """The pair (V_S, V_B) plus the bound states V_B encodes, and the
-    half-on-shell T-matrix V_S was built from."""
+    half-on-shell T-matrix V_S was built from.
+
+    bound_list[:n_negative] holds the negative-energy spectrum in
+    ascending order; the rest are the embedded states recovered from
+    V_B, each carrying its fitted K^2 as its energy.
+    """
 
     v_s: Kernel
     v_b: Kernel
     bound_list: list
     t_matrix: np.ndarray
+    n_negative: int
 
 
 @dataclass(frozen=True)
@@ -120,23 +126,21 @@ def _t_omega_dagger(t_matrix, grid, pv):
     return f
 
 
-def v_s_from_T(t_matrix: np.ndarray, grid: MomentumGrid,
-               pv: PrincipalValueWeights | None = None) -> Kernel:
+def v_s_from_T(t_matrix: np.ndarray, grid: MomentumGrid) -> Kernel:
     """Scattering-part kernel from the half-on-shell T-matrix.
 
-    The imaginary part must cancel between the delta term and the
-    unitarity content of T; a residue above 1e-8 relative signals a bad
-    T-matrix and raises ConsistencyError.  The real result is genuinely
-    asymmetric whenever bound states exist: its asymmetric part is the
-    exact negative of V_B's, so that the sum V_S + V_B comes out
-    symmetric.
+    The principal value uses the subtraction weights of the grid, built
+    here as half_on_shell_T_matrix builds them.  The imaginary part must
+    cancel between the delta term and the unitarity content of T; a
+    residue above 1e-8 relative signals a bad T-matrix and raises
+    ConsistencyError.  The real result is genuinely asymmetric whenever
+    bound states exist: its asymmetric part is the exact negative of
+    V_B's, so that the sum V_S + V_B comes out symmetric.
     """
     t_matrix = np.asarray(t_matrix)
     if t_matrix.shape != (grid.n, grid.n):
         raise ShapeError("T-matrix does not match the grid")
-    if pv is None:
-        pv = PrincipalValueWeights(grid)
-    f = _t_omega_dagger(t_matrix, grid, pv)
+    f = _t_omega_dagger(t_matrix, grid, PrincipalValueWeights(grid))
     scale = np.max(np.abs(f.real))
     if scale > 0 and np.max(np.abs(f.imag)) > 1e-8 * scale:
         raise ConsistencyError(
@@ -235,9 +239,7 @@ def extract_bics(V_B: Kernel, negatives) -> list:
     for i in range(rank):
         phi = vt_mat[i, :]
         phi = phi / np.sqrt(inner_product(phi, phi, grid))
-        idx = np.flatnonzero(np.abs(phi) > 1e-12 * np.max(np.abs(phi)))
-        if phi[idx[0]] < 0:
-            phi = -phi
+        phi = _sign_fix(phi)
         left = svals[i] * u_mat[:, i]
         mask = np.abs(phi) > 1e-3 * np.max(np.abs(phi))
         design = np.vstack([phi[mask], -uu[mask] * phi[mask]]).T
@@ -262,14 +264,13 @@ def sb_decompose(V: Kernel, grid: MomentumGrid) -> SBDecomposition:
     V_B.  The T-matrix is returned with the parts, so callers that also
     need it do not solve it again.
     """
-    pv = PrincipalValueWeights(grid)
-    t_matrix = half_on_shell_T_matrix(V, grid, pv)
-    v_s = v_s_from_T(t_matrix, grid, pv)
+    t_matrix = half_on_shell_T_matrix(V, grid)
+    v_s = v_s_from_T(t_matrix, grid)
     v_b = Kernel(grid=grid, values=V.values - v_s.values, symmetry="general")
     negatives = negative_energy_states(V, grid)
     embedded = [st for st, _ in extract_bics(v_b, negatives)]
     return SBDecomposition(v_s=v_s, v_b=v_b, bound_list=negatives + embedded,
-                           t_matrix=t_matrix)
+                           t_matrix=t_matrix, n_negative=len(negatives))
 
 
 def verify_conditions_AB(t_matrix: np.ndarray, states, grid: MomentumGrid):
@@ -319,6 +320,7 @@ def s_space_perturb(V0: Kernel, state: BoundState, A: Kernel,
             f"state is not an eigenstate of the kernel (residual {res:.3e})"
         )
     grid = state.grid
+    require_on_grid(A, grid)
     mu_phi = grid.measure * state.samples
     phi = state.samples
     m_vals = strength * A.values

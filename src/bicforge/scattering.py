@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import ContractError, SolverError
 from .grid import TWO_PI_CUBED, MomentumGrid
-from .kernels import Kernel
+from .kernels import Kernel, require_on_grid
 
 STENCIL_WIDTH = 17
 
@@ -166,8 +166,7 @@ class PrincipalValueWeights:
 def _require_scattering_kernel(V: Kernel, grid: MomentumGrid):
     if not isinstance(V, Kernel) or V.symmetry != "symmetric":
         raise ContractError("scattering requires a symmetric momentum-space kernel")
-    if V.n != grid.n:
-        raise ContractError("kernel does not live on the supplied grid")
+    require_on_grid(V, grid)
 
 
 def _kernel_rows(V: Kernel, grid: MomentumGrid, qs: np.ndarray):
@@ -252,17 +251,17 @@ def solve_k_matrix(V: Kernel, grid: MomentumGrid, k_on: float) -> ScatteringSolu
                               delta=delta, rho=float(rho))
 
 
-def half_on_shell_T_matrix(V: Kernel, grid: MomentumGrid,
-                           pv: PrincipalValueWeights | None = None) -> np.ndarray:
+def half_on_shell_T_matrix(V: Kernel, grid: MomentumGrid) -> np.ndarray:
     """Complex half-on-shell matrix T(k_i, k_j), column j on shell at k_j.
 
     Every column is a standing-wave solve with the on-shell point ON its
     grid node, using the derivative-corrected subtraction weights, then
-    converted through the Heitler relation.
+    converted through the Heitler relation.  The weights depend on the
+    grid alone and are built here; that takes a few percent of the time
+    of the n column solves.
     """
     _require_scattering_kernel(V, grid)
-    if pv is None:
-        pv = PrincipalValueWeights(grid)
+    pv = PrincipalValueWeights(grid)
     n = grid.n
     v = V.values
     k_half = np.empty((n, n))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .grid import MomentumGrid, inner_product
-from .kernels import Kernel
+from .kernels import Kernel, require_on_grid
 
 REFRESH_COMPONENTS = 13
 REFRESH_PASSES = 2
@@ -117,8 +117,7 @@ def negative_energy_states(V: Kernel, grid: MomentumGrid) -> list:
     """
     if not isinstance(V, Kernel) or V.symmetry != "symmetric":
         raise ContractError("need a symmetric momentum-space kernel")
-    if V.n != grid.n:
-        raise ShapeError("kernel grid does not match")
+    require_on_grid(V, grid)
     s = np.sqrt(grid.measure)
     evals, evecs = np.linalg.eigh(_hamiltonian(V, grid))
 
@@ -159,11 +158,8 @@ def schrodinger_residual(V: Kernel, state: BoundState) -> float:
     Returns sqrt(sum_i measure_i r_i^2) with
     r = k^2 phi + V (measure phi) - E phi.
     """
-    if not isinstance(V, Kernel):
-        raise ContractError("the residual needs a momentum-space kernel")
     grid = state.grid
-    if V.n != grid.n:
-        raise ShapeError("kernel and state live on different grids")
+    require_on_grid(V, grid)
     k = grid.nodes
     phi = state.samples
     r = k * k * phi + V.values @ (grid.measure * phi) - state.energy * phi

@@ -1,12 +1,15 @@
 """Reading and writing the .bk kernel file format."""
 
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from bicforge import (
+    BicForgeError,
     ConfigurationError,
     ConsistencyError,
     ContractError,
@@ -231,3 +234,41 @@ def test_any_finite_kernel_round_trips_bit_for_bit(tmp_path_factory, kind,
     assert back.grid.weights.tobytes() == kernel.grid.weights.tobytes()
     if kind != "coordinate":
         assert back.symmetry == kind
+
+
+# non-numbers, overflow to and plain infinities, signed zeros, a subnormal and
+# wrong but ordinary numbers, each put in place of one token
+MUTATIONS = ("nan", "inf", "-inf", "1e400", "abc", "", "-1", "0", "-0", "1e-320", "3.5")
+
+
+@pytest.fixture(scope="module")
+def seed16_text(tmp_path_factory):
+    path = tmp_path_factory.mktemp("seed16") / "seed.bk"
+    write_kernel(gaussian_momentum_kernel(-30.0, 0.5, build_momentum_grid(16)), path)
+    return path.read_text()
+
+
+@settings(max_examples=200, deadline=500)
+@given(data=st.data(), token=st.sampled_from(MUTATIONS))
+def test_one_mutated_token_is_an_error_or_agrees_with_the_grid(tmp_path_factory,
+                                                               seed16_text, data,
+                                                               token):
+    lines = [re.split("([ ,])", ln) for ln in seed16_text.splitlines()]
+    i = data.draw(st.integers(0, len(lines) - 1), label="line")
+    j = data.draw(st.integers(0, len(lines[i]) // 2), label="token")
+    lines[i][2 * j] = token
+    path = tmp_path_factory.mktemp("mutated") / "k.bk"
+    path.write_text("\n".join("".join(parts) for parts in lines) + "\n")
+    try:
+        kernel = read_kernel(path)
+    except BicForgeError:
+        return
+    # loaded: a mutated grid token must agree with the rebuilt grid to the
+    # reader's tolerances; a finite mutated value is data
+    grid = kernel.grid
+    if i == 0 and j > 0:
+        assert float(token) == (grid.n, grid.map_scale, grid.cutoff)[j - 1]
+    elif 3 <= i < 3 + grid.n:
+        stored = (grid.nodes, grid.weights)[j][i - 3]
+        tol = (grid.cutoff, stored)[j] * 1e-12
+        assert abs(float(token) - stored) <= tol

@@ -5,6 +5,7 @@ import subprocess
 
 import pytest
 
+from bicforge import cli, kernels, sbdecomp, spectral, write_kernel
 from bicforge.cli import main
 
 E0_N16 = -5.3787705124778187
@@ -150,6 +151,39 @@ def test_subcommand_reports_its_keys_and_writes_its_files(capsys, tmp_path, comm
     assert main(["--out", str(tmp_path), command]) == 0
     assert set(keys) <= _fields(_lines(capsys)).keys()
     assert {p.name for p in tmp_path.iterdir()} == files
+
+
+def _count(monkeypatch, fn, *modules):
+    """A list that grows by one entry per call of fn made through the modules."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted, raising=False)
+    return calls
+
+
+def test_extract_reads_the_spectrum_from_the_decomposition(capsys, tmp_path,
+                                                          monkeypatch):
+    # the seed's ground state is solved inside spectral, on the seed kernel,
+    # and is not counted here
+    solves = _count(monkeypatch, spectral.negative_energy_states, cli, sbdecomp)
+    extracts = _count(monkeypatch, sbdecomp.extract_bics, cli, sbdecomp)
+    assert main(["--out", str(tmp_path), "extract"]) == 0
+    assert (len(solves), len(extracts)) == (1, 1)
+    assert _fields(_lines(capsys))["embedded_states"] == "1"
+
+
+def test_sbdecomp_of_a_file_builds_no_seed(capsys, tmp_path, monkeypatch, v0):
+    path = tmp_path / "v0.bk"
+    write_kernel(v0, path)
+    seeds = _count(monkeypatch, kernels.gaussian_momentum_kernel, cli)
+    assert main(["--out", str(tmp_path), "sbdecomp", "--in", str(path)]) == 0
+    assert seeds == []
+    assert _fields(_lines(capsys))["bound_states"] == "1"
 
 
 def test_failing_reproduce_writes_nothing(capsys, tmp_path):

@@ -5,13 +5,18 @@ from numpy.testing import assert_allclose
 from bicforge import (
     Kernel,
     SeparableModel,
+    bic_census,
     build_momentum_grid,
     build_radial_grid,
     gaussian_momentum_kernel,
+    half_on_shell_T_matrix,
     local_oracle,
     local_to_momentum,
+    negative_energy_states,
+    phase_curve,
     rank_one_update,
     s_space_perturb,
+    sb_decompose,
     separable_tune,
     solve_k_matrix,
     vnw_build,
@@ -63,6 +68,39 @@ def test_kernel_rejects_asymmetric_values_with_symmetric_flag(grid):
 def test_kernel_rejects_wrong_shape(grid):
     with pytest.raises(ShapeError):
         Kernel(grid=grid, values=np.zeros((3, 3)), symmetry="general")
+
+
+# every entry point that takes a kernel and the grid it lives on
+GRID_TAKERS = {
+    "negative_energy_states": negative_energy_states,
+    "half_on_shell_T_matrix": half_on_shell_T_matrix,
+    "solve_k_matrix": lambda V, grid: solve_k_matrix(V, grid, 0.5),
+    "phase_curve": phase_curve,
+    "bic_census": bic_census,
+    "sb_decompose": sb_decompose,
+}
+
+
+@pytest.mark.parametrize("call", GRID_TAKERS.values(), ids=GRID_TAKERS.keys())
+def test_a_grid_of_the_same_size_with_another_map_is_refused(v0, call):
+    with pytest.raises(ContractError, match="does not live on"):
+        call(v0, build_momentum_grid(128, map_scale=1.0))
+
+
+def test_census_refuses_a_grid_of_another_size(v0):
+    with pytest.raises(ContractError, match="does not live on"):
+        bic_census(v0, build_momentum_grid(64))
+
+
+def test_perturbation_refuses_a_bump_on_another_grid(v0, phi0):
+    bump = gaussian_momentum_kernel(-10.0, 1.0, build_momentum_grid(128, map_scale=1.0))
+    with pytest.raises(ContractError, match="does not live on"):
+        s_space_perturb(v0, phi0, bump)
+
+
+def test_an_equal_grid_built_again_is_accepted(v0, phi0):
+    states = negative_energy_states(v0, build_momentum_grid(128))
+    assert states[0].energy == phi0.energy
 
 
 def test_local_to_momentum_matches_analytic_gaussian(grid, v0):

@@ -48,6 +48,7 @@ def test_bound_part_matches_direct_build(seed_decomp, grid, phi0):
 
 def test_bound_list_is_the_seed_state(seed_decomp):
     assert len(seed_decomp.bound_list) == 1
+    assert seed_decomp.n_negative == 1
     assert seed_decomp.bound_list[0].energy == pytest.approx(SEED_E0, rel=1e-10)
 
 
@@ -84,6 +85,7 @@ def test_embedded_state_survives_decomposition(grid, v0, phi0):
 
     decomp = sb_decompose(shifted, grid)
     assert len(decomp.bound_list) == 1
+    assert decomp.n_negative == 0
     state = decomp.bound_list[0]
     assert state.energy == pytest.approx(4.0, abs=1e-6)
     overlap = abs(inner_product(state.samples, phi0.samples, grid))

@@ -9,11 +9,15 @@
 # runs a fixed list of `python3 -m bicforge.cli` invocations and every
 # demo, once on that export and once on the working tree (uncommitted
 # edits included), each with one BLAS thread and in its own empty
-# directory.  The stdout, stderr, exit code and written files of each
-# run are compared with `diff -r`; each run's output path and the tree
-# path are replaced by OUT and TREE first, so that only content can
-# differ.  Exits 0 and prints "no difference" when both sides agree, 1
-# with the diff when they do not, 2 on a usage error.
+# directory.  The `--in` invocations read kernel files that the export
+# writes once, beforehand, into an input directory both sides share:
+# `shift --E 4.0` gives a momentum-space file and `coord` the
+# coordinate-space ones, which `--in` must refuse with exit code 1.
+# The stdout, stderr, exit code and written files of each run are
+# compared with `diff -r`; each run's output path and the tree path are
+# replaced by OUT and TREE first, so that only content can differ.
+# Exits 0 and prints "no difference" when both sides agree, 1 with the
+# diff when they do not, 2 on a usage error.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -29,8 +33,15 @@ git -C "$root" archive "$1" | tar -x -C "$work/parent-tree"
 OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1 MKL_NUM_THREADS=1
 export OPENBLAS_NUM_THREADS OMP_NUM_THREADS MKL_NUM_THREADS
 
+input=$work/input
+for args in "shift --E 4.0" coord; do
+    # $args is split into words on purpose
+    PYTHONPATH="$work/parent-tree/src" python3 -m bicforge.cli --out "$input" \
+        $args >/dev/null
+done
+
 # one invocation per line: shared flags, subcommand, subcommand flags
-invocations='reproduce-paper
+invocations="reproduce-paper
 --format structured-text --mev reproduce-paper
 seed
 bound
@@ -48,7 +59,11 @@ verify-ab
 shift --E 4.0
 vnw --k 0
 --n 16 reproduce-paper
---n 16 bound'
+--n 16 bound
+census --in $input/shift_E+4.0.bk
+sbdecomp --in $input/shift_E+4.0.bk
+extract --in $input/shift_E+4.0.bk
+census --in $input/vb_coord_E+4.0.bk"
 
 # run_all TREE LABEL: every invocation and demo of TREE under $work/LABEL
 run_all() {
