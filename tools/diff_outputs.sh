@@ -14,10 +14,15 @@
 # `shift --E 4.0` gives a momentum-space file and `coord` the
 # coordinate-space ones, which `--in` must refuse with exit code 1.
 # The stdout, stderr, exit code and written files of each run are
-# compared with `diff -r`; each run's output path and the tree path are
+# compared byte for byte; each run's output path and the tree path are
 # replaced by OUT and TREE first, so that only content can differ.
-# Exits 0 and prints "no difference" when both sides agree, 1 with the
-# diff when they do not, 2 on a usage error.
+# Exits 0 and prints "no difference" when both sides agree, 2 on a usage
+# error, and 1 when they do not, with one report per differing file.
+# Each file is split into tokens at blanks and at , = ; : ( ) [ ], and the
+# tokens that parse as floats are its entries.  A file whose other tokens
+# agree gets one line: its largest absolute move and that move divided by
+# the file's largest |entry| on the PARENT_REV side.  A file whose other
+# tokens differ gets its unified diff, and a file on one side only says so.
 set -eu
 
 if [ $# -ne 1 ]; then
@@ -97,8 +102,56 @@ EOF
 
 run_all "$work/parent-tree" parent
 run_all "$root" change
-if diff -r "$work/parent" "$work/change"; then
+if diff -rq "$work/parent" "$work/change" >/dev/null; then
     echo "no difference"
-else
-    exit 1
+    exit 0
 fi
+python3 - "$work/parent" "$work/change" <<'PY' || true
+import difflib
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+
+SEPARATORS = re.compile(r"([\s,=;:()\[\]]+)")
+
+
+def split(text):
+    """The float entries of text and its other tokens, entries marked by #."""
+    entries, skeleton = [], []
+    for token in SEPARATORS.split(text):
+        try:
+            entries.append(float(token))
+            skeleton.append("#")
+        except ValueError:
+            skeleton.append(token)
+    return np.array(entries), skeleton
+
+
+parent, change = Path(sys.argv[1]), Path(sys.argv[2])
+names = sorted({p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
+               | {p.relative_to(change) for p in change.rglob("*") if p.is_file()})
+for name in names:
+    a, b = parent / name, change / name
+    if not (a.is_file() and b.is_file()):
+        print(f"{name}: only in {'parent' if a.is_file() else 'change'}")
+        continue
+    if a.read_bytes() == b.read_bytes():
+        continue
+    text_a, text_b = a.read_text(errors="replace"), b.read_text(errors="replace")
+    (xa, skel_a), (xb, skel_b) = split(text_a), split(text_b)
+    if skel_a != skel_b:
+        print(f"{name}: text differs")
+        sys.stdout.writelines(difflib.unified_diff(
+            text_a.splitlines(True), text_b.splitlines(True), "parent", "change"))
+        continue
+    same = (xa == xb) | (np.isnan(xa) & np.isnan(xb))
+    move = float(np.max(np.where(same, 0.0, np.abs(xa - xb))))
+    finite = np.abs(xa[np.isfinite(xa)])
+    scale = float(np.max(finite)) if finite.size else 0.0
+    relative = f"{move / scale:.2e}" if scale > 0 else "n/a"
+    print(f"{name}: max |move| {move:.2e}, relative {relative} "
+          f"(largest |entry| {scale:.6g}, {xa.size} entries)")
+PY
+exit 1
